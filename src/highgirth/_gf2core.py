@@ -1,175 +1,77 @@
-"""Packed GF(2) row-reduction kernels.
+"""GF(2) elimination on Python ints.
 
-Rows are bit-packed into 64-bit words (column j lives in word j >> 6,
-bit j & 63).  Elimination order is fixed: the pivot for column c is the
-first remaining row with bit c set, and row operations happen in row
-order, so both backends produce identical results.  When numba is
-importable the scalar-loop versions are JIT compiled; otherwise the
-vectorized numpy versions are used.
+A vector is an int whose bit i is its entry i, so adding two vectors is
+one XOR.  ``insert`` is the only elimination loop: it reduces a vector
+against a basis keyed by each basis vector's highest set bit and either
+adds it or returns what is left.  Everything else is built on it:
+
+- ``rank_packed`` inserts vectors (rows or columns) and counts;
+- ``echelon`` inserts a matrix's columns in order, each tagged in its
+  low bits with the set of input columns it is the sum of.
+
+Inserting columns in order makes a column a pivot exactly when it is
+independent of the columns before it, which is the pivot set of the
+reduced row echelon form (lowest column first).  So the kernel basis
+and the free-variables-zero solution read off the tags are the
+canonical ones, whatever the elimination order inside.
 """
 from __future__ import annotations
 
-import numpy as np
 
-try:
-    from numba import njit
+def insert(basis: dict[int, int], v: int, floor: int = 1) -> int | None:
+    """Reduce ``v`` against ``basis`` on its bits at or above ``floor``.
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-
-def _echelon_scalar(bits, ncols, pivot_cols, reduce_above):
-    m, nw = bits.shape
-    cap = m if m < pivot_cols else pivot_cols
-    pivots = np.empty(cap, np.int64)
-    one = np.uint64(1)
-    npiv = 0
-    r = 0
-    for c in range(pivot_cols):
-        if r == m:
-            break
-        w = c >> 6
-        sh = np.uint64(c & 63)
-        p = -1
-        for i in range(r, m):
-            if (bits[i, w] >> sh) & one:
-                p = i
-                break
-        if p < 0:
-            continue
-        if p != r:
-            for t in range(nw):
-                tmp = bits[r, t]
-                bits[r, t] = bits[p, t]
-                bits[p, t] = tmp
-        lo = 0 if reduce_above else r + 1
-        for i in range(lo, m):
-            if i != r and ((bits[i, w] >> sh) & one):
-                for t in range(nw):
-                    bits[i, t] ^= bits[r, t]
-        pivots[npiv] = c
-        npiv += 1
-        r += 1
-    return pivots[:npiv]
+    Returns None when a bit there survives, after adding the reduced
+    vector to ``basis``; otherwise returns the remainder, which is below
+    ``floor``.
+    """
+    while v >= floor:
+        h = v.bit_length()
+        row = basis.get(h)
+        if row is None:
+            basis[h] = v
+            return None
+        v ^= row
+    return v
 
 
-def _echelon_numpy(bits, ncols, pivot_cols, reduce_above):
-    m, nw = bits.shape
-    one = np.uint64(1)
-    pivots = []
-    r = 0
-    for c in range(pivot_cols):
-        if r == m:
-            break
-        w = c >> 6
-        sh = np.uint64(c & 63)
-        nz = np.nonzero((bits[r:, w] >> sh) & one)[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            bits[[r, p]] = bits[[p, r]]
-        if reduce_above:
-            idx = np.nonzero((bits[:, w] >> sh) & one)[0]
-            idx = idx[idx != r]
+def echelon(columns: list[int]) -> tuple[list[int], list[int], dict[int, int]]:
+    """Eliminate ``columns`` (bit i = row i) in order.
+
+    Returns (pivots, relations, basis).  ``pivots`` are the columns
+    independent of the columns before them, ascending.  ``relations``
+    holds one mask per other column, in order: that column plus the
+    earlier pivots that sum to it, so each is a kernel vector.  Each
+    ``basis`` vector is a reduced column shifted up by ``len(columns)``
+    bits, above the mask of input columns it sums.
+    """
+    k = len(columns)
+    floor = 1 << k
+    basis: dict[int, int] = {}
+    pivots, relations = [], []
+    for j, c in enumerate(columns):
+        rest = insert(basis, (c << k) | (1 << j), floor)
+        if rest is None:
+            pivots.append(j)
         else:
-            # row p now holds the old row r, whose bit c was clear
-            idx = r + nz[1:]
-        if idx.size:
-            bits[idx] ^= bits[r]
-        pivots.append(c)
-        r += 1
-    return np.asarray(pivots, dtype=np.int64)
+            relations.append(rest)
+    return pivots, relations, basis
 
 
-if HAVE_NUMBA:
-    _echelon_jit = njit(cache=True, nogil=True)(_echelon_scalar)
-    echelon = _echelon_jit
-else:
-    echelon = _echelon_numpy
+def solve_packed(columns: list[int], y: int) -> tuple[int, bool, int]:
+    """Solve sum of x_j * columns[j] = y.
+
+    Returns (rank, consistent, x) with x the mask of the unique solution
+    supported on the pivot columns (every free variable zero); x is 0
+    when the system is inconsistent.
+    """
+    pivots, _, basis = echelon(columns)
+    k = len(columns)
+    x = insert(basis, y << k, 1 << k)
+    return len(pivots), x is not None, x or 0
 
 
-def _solve_scalar(aug, ncols):
-    # aug holds ncols+1 logical columns; bit ncols of each row is the rhs.
-    # Solves with free variables set to zero.  Destroys aug.
-    m, nw = aug.shape
-    one = np.uint64(1)
-    pivots = _echelon_jit(aug, ncols, ncols, False)
-    rank = pivots.shape[0]
-    rw = ncols >> 6
-    rsh = np.uint64(ncols & 63)
-    consistent = True
-    for i in range(rank, m):
-        if (aug[i, rw] >> rsh) & one:
-            consistent = False
-            break
-    x = np.zeros(ncols, np.uint8)
-    if consistent:
-        xbits = np.zeros(nw, np.uint64)
-        for j in range(rank - 1, -1, -1):
-            c = pivots[j]
-            acc = np.uint64(0)
-            for t in range(nw):
-                acc ^= aug[j, t] & xbits[t]
-            acc ^= acc >> np.uint64(32)
-            acc ^= acc >> np.uint64(16)
-            acc ^= acc >> np.uint64(8)
-            acc ^= acc >> np.uint64(4)
-            acc ^= acc >> np.uint64(2)
-            acc ^= acc >> np.uint64(1)
-            bit = ((aug[j, rw] >> rsh) ^ acc) & one
-            if bit:
-                x[c] = 1
-                xbits[c >> 6] |= one << np.uint64(c & 63)
-    return rank, consistent, x
-
-
-def _solve_numpy(aug, ncols):
-    m, nw = aug.shape
-    one = np.uint64(1)
-    pivots = _echelon_numpy(aug, ncols, ncols, False)
-    rank = pivots.shape[0]
-    rw = ncols >> 6
-    rsh = np.uint64(ncols & 63)
-    consistent = not bool(((aug[rank:, rw] >> rsh) & one).any())
-    x = np.zeros(ncols, np.uint8)
-    if consistent:
-        xbits = np.zeros(nw, np.uint64)
-        for j in range(rank - 1, -1, -1):
-            c = int(pivots[j])
-            par = int(popcount_words(aug[j] & xbits)) & 1
-            bit = (int(aug[j, rw]) >> (ncols & 63)) & 1 ^ par
-            if bit:
-                x[c] = 1
-                xbits[c >> 6] |= one << np.uint64(c & 63)
-    return rank, consistent, x
-
-
-if HAVE_NUMBA:
-    solve_packed = njit(cache=True, nogil=True)(_solve_scalar)
-else:
-    solve_packed = _solve_numpy
-
-echelon_numpy = _echelon_numpy
-solve_packed_numpy = _solve_numpy
-
-if hasattr(np, "bitwise_count"):
-
-    def popcount_words(arr):
-        """Total set-bit count of a uint64 array."""
-        return int(np.bitwise_count(arr).sum())
-
-else:  # pragma: no cover - numpy < 2.0
-
-    _BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-    def popcount_words(arr):
-        """Total set-bit count of a uint64 array."""
-        by = np.ascontiguousarray(arr, dtype="<u8").view(np.uint8)
-        return int(_BYTE_POP[by].sum())
-
-
-def rank_packed(bits, ncols):
-    """Rank of a packed row matrix.  Destroys the contents of ``bits``."""
-    return int(echelon(bits, ncols, ncols, False).shape[0])
+def rank_packed(vectors: list[int]) -> int:
+    """Number of linearly independent vectors among ``vectors``."""
+    basis: dict[int, int] = {}
+    return sum(insert(basis, v) is None for v in vectors)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._gf2core import rank_packed
+from ._gf2core import rank_packed  # noqa: F401 - perfbench/layers.py wraps it here
 from .fields import (
     GF2,
     GFP,
@@ -320,65 +320,27 @@ def independence_probability(m: Matrix, s, budget: int = 1 << 22) -> Fraction:
     superset of a dependent set is dependent.  ``budget`` caps visited
     nodes since the independent-subset count can still be exponential.
     """
-    from .fields import _arith_for
-
     sf = parse_probability(s, "s")
+    if sf == 0:
+        return Fraction(1)
     n = m.ncols
-    if m.field.kind == GF2:
-        cols = m._column_ints()
-
-        def reduce_into(piv: dict, v):
-            # copy-on-insert so sibling branches never see these pivots
-            while v:
-                h = v.bit_length() - 1
-                row = piv.get(h)
-                if row is None:
-                    piv = dict(piv)
-                    piv[h] = v
-                    return piv
-                v ^= row
-            return None
-
-    else:
-        cols = m._column_vectors()
-        ar = _arith_for(m.field)
-
-        def reduce_into(piv: dict, vec):
-            v = list(vec)
-            while True:
-                j = next((t for t, x in enumerate(v) if x != ar.zero), None)
-                if j is None:
-                    return None
-                row = piv.get(j)
-                if row is None:
-                    inv = ar.inv(v[j])
-                    if inv != ar.one:
-                        v = [ar.mul(inv, x) for x in v]
-                    piv = dict(piv)
-                    piv[j] = v
-                    return piv
-                f = v[j]
-                v = [ar.sub(x, ar.mul(f, w)) for x, w in zip(v, row)]
-
+    make_basis, cols = independence_tracker(m)
     nodes = 0
 
-    def walk(j: int, piv: dict, weight: Fraction) -> Fraction:
+    def walk(j: int, basis, weight: Fraction) -> Fraction:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise EnumerationBudget(f"enumeration exceeded {budget} nodes")
         if j == n:
             return weight
-        total = walk(j + 1, piv, weight * (1 - sf))
-        if sf != 0:
-            grown = reduce_into(piv, cols[j])
-            if grown is not None:
-                total += walk(j + 1, grown, weight * sf)
+        total = walk(j + 1, basis, weight * (1 - sf))
+        grown = basis.copy()  # sibling branches never see this column
+        if grown.insert(cols[j]):
+            total += walk(j + 1, grown, weight * sf)
         return total
 
-    if sf == 0:
-        return Fraction(1)
-    return walk(0, {}, Fraction(1))
+    return walk(0, make_basis(), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -403,34 +365,19 @@ def full_rank_probability(
     t_full = threshold_u64(sf)
     sample_all = t_full >= 1 << 64
     thr = np.uint64(min(t_full, (1 << 64) - 1))
+    make_basis, cols = independence_tracker(m)
 
-    if m.field.kind == GF2:
-        tcols = m._t_bits()
-
-        def one_trial(stream: SubStream) -> bool:
-            u = stream.raw(m.ncols)
-            idx = np.arange(m.ncols) if sample_all else np.nonzero(u < thr)[0]
-            if idx.shape[0] < nchecks:
-                return False
-            sub = tcols[idx].copy()
-            return rank_packed(sub, nchecks) == nchecks
-
-    else:
-        make_basis, cols = independence_tracker(m)
-
-        def one_trial(stream: SubStream) -> bool:
-            u = stream.raw(m.ncols)
-            idx = np.arange(m.ncols) if sample_all else np.nonzero(u < thr)[0]
-            if idx.shape[0] < nchecks:
-                return False
-            basis = make_basis()
-            got = 0
-            for j in idx:
-                if basis.insert(cols[int(j)]):
-                    got += 1
-                    if got == nchecks:
-                        return True
+    def one_trial(stream: SubStream) -> bool:
+        u = stream.raw(m.ncols)
+        idx = range(m.ncols) if sample_all else np.nonzero(u < thr)[0].tolist()
+        if len(idx) < nchecks:
             return False
+        basis = make_basis()
+        for j in idx:
+            if len(basis) == nchecks:
+                break
+            basis.insert(cols[j])
+        return len(basis) == nchecks
 
     results = run_trials(trials, one_trial, seed, threads)
     return TrialReport(trials, sum(1 for r in results if r), seed)
@@ -469,8 +416,8 @@ def girth_scan(m: Matrix, grid, trials: int, seed: int, threads: int = 1) -> Gir
     All rates in one trial share that trial's uniform draws, so the
     per-trial indicators are coupled: a set sampled at a lower rate is a
     subset of the set at a higher rate, and the empirical success curve
-    is exactly nonincreasing in s, not just in expectation.  Any field
-    works; gf2 takes the bit-packed rank path.
+    is exactly nonincreasing in s, not just in expectation.  The nesting
+    also lets one basis per trial grow along the grid.  Any field works.
     """
     rates = tuple(parse_probability(g, "grid rate") for g in grid)
     if not rates:
@@ -479,36 +426,26 @@ def girth_scan(m: Matrix, grid, trials: int, seed: int, threads: int = 1) -> Gir
         raise ValueError("grid must be sorted ascending")
     if trials < 1:
         raise ValueError("need at least one trial")
-    thresholds = [np.uint64(min(threshold_u64(r), (1 << 64) - 1)) for r in rates]
+    thresholds = np.array([min(threshold_u64(r), (1 << 64) - 1) for r in rates], np.uint64)
     exact_one = [threshold_u64(r) >= 1 << 64 for r in rates]
-    nrows = m.nrows
-    gf2 = m.field.kind == GF2
-    if gf2:
-        tcols = m._t_bits()
-    else:
-        make_basis, colvecs = independence_tracker(m)
+    nrows, ncols = m.nrows, m.ncols
+    make_basis, cols = independence_tracker(m)
 
     def one_trial(stream: SubStream) -> list[bool]:
-        u = stream.raw(m.ncols)
-        out = []
-        prev_dependent = False
-        for t, full in zip(thresholds, exact_one):
-            if prev_dependent:
+        u = stream.raw(ncols)
+        # the set sampled at a rate is a prefix of the columns sorted by u
+        order = np.argsort(u, kind="stable")
+        sizes = np.searchsorted(u[order], thresholds).tolist()
+        order = order.tolist()
+        basis = make_basis()
+        done = 0
+        for g, (size, full) in enumerate(zip(sizes, exact_one)):
+            size = ncols if full else size
+            if size > nrows or not all(basis.insert(cols[j]) for j in order[done:size]):
                 # dependence is inherited by the superset at a higher rate
-                out.append(False)
-                continue
-            idx = np.arange(m.ncols) if full else np.nonzero(u < t)[0]
-            if idx.shape[0] > nrows:
-                ok = False
-            elif gf2:
-                sub = tcols[idx].copy()
-                ok = rank_packed(sub, nrows) == idx.shape[0]
-            else:
-                basis = make_basis()
-                ok = all(basis.insert(colvecs[int(j)]) for j in idx)
-            out.append(ok)
-            prev_dependent = not ok
-        return out
+                return [True] * g + [False] * (len(rates) - g)
+            done = size
+        return [True] * len(rates)
 
     results = run_trials(trials, one_trial, seed, threads)
     reports = tuple(
@@ -554,16 +491,30 @@ def write_check_matrix(cm: CheckMatrix, path: str) -> None:
 
 
 def read_check_matrix(path: str) -> CheckMatrix:
+    """Load a matrix and its sidecar recipe, checked against each other.
+
+    The sidecar's rows are rebuilt from the transform and must equal the
+    matrix, so nothing derived from them (the Bhattacharyya bound, say)
+    rests on the file's word alone.
+    """
     m = read_matrix(path)
     with open(path + ".json", "r", encoding="ascii") as fh:
         meta = json.load(fh)
-    rows = ColumnSet.of(meta["H"])
-    if len(rows) != m.nrows:
-        raise ValueError("sidecar row list does not match matrix shape")
-    return CheckMatrix(
-        int(meta["n"]),
-        parse_probability(meta["s"], "s"),
-        SelectionSpec.from_json(meta["selection"]),
-        rows,
-        m,
-    )
+    try:
+        n, s, selection, h = meta["n"], meta["s"], meta["selection"], meta["H"]
+        selection = SelectionSpec.from_json(selection)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"sidecar {path}.json needs n, s, selection and H ({type(exc).__name__}: {exc})"
+        ) from None
+    if type(n) is not int or type(s) not in (int, str) or type(h) is not list:
+        raise ValueError(f"sidecar {path}.json: n must be an int, s a string, H a list")
+    if n != m.ncols:
+        raise ValueError(f"sidecar n={n} does not match the matrix's {m.ncols} columns")
+    rows = ColumnSet(tuple(h))
+    if rows.indices and rows.indices[-1] > n:
+        raise ValueError(f"sidecar row {rows.indices[-1]} out of range for n={n}")
+    _require_pow2(n)
+    if _rows_matrix(n, rows, m.field) != m:
+        raise ValueError("sidecar rows H do not rebuild the matrix")
+    return CheckMatrix(n, parse_probability(s, "s"), selection, rows, m)

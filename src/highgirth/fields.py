@@ -1,8 +1,9 @@
 """Exact linear algebra over GF(2), odd prime fields, and the rationals.
 
-Matrices are immutable dense row-major arrays.  GF(2) rows are bit-packed
-into 64-bit words and reduced with word-parallel XOR; prime-field entries
-are canonical residues in [0, p); rational entries are ``fractions.Fraction``
+Matrices are immutable dense row-major arrays.  GF(2) rows are stored
+bit-packed into 64-bit words, and GF(2) elimination runs on rows or
+columns turned into Python ints (``_gf2core``); prime-field entries are
+canonical residues in [0, p); rational entries are ``fractions.Fraction``
 values.  No floating point enters any rank, kernel, or solve path.
 
 Index conventions: ``ColumnSet`` (and the row sets built on top of it
@@ -363,6 +364,22 @@ def _pack_vector_u8(x: np.ndarray) -> np.ndarray:
     return _pack_rows_u8(x.reshape(1, -1))[0]
 
 
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """Packed rows as Python ints, bit j = column j."""
+    m, nw = bits.shape
+    raw = np.ascontiguousarray(bits, dtype="<u8").tobytes()
+    step = nw * 8
+    return [int.from_bytes(raw[i * step : (i + 1) * step], "little") for i in range(m)]
+
+
+def _int_bits(ints, ncols: int) -> np.ndarray:
+    """Inverse of _row_ints; returns a (len(ints), ncols) uint8 array."""
+    nbytes = (ncols + 7) >> 3
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in ints)
+    by = np.frombuffer(raw, np.uint8).reshape(len(ints), nbytes)
+    return np.unpackbits(by, axis=1, bitorder="little")[:, :ncols]
+
+
 # ---------------------------------------------------------------------------
 # the matrix type
 
@@ -523,7 +540,7 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         if self.field.kind == GF2:
-            return Matrix.from_packed_gf2(self._t_bits().copy(), self.nrows)
+            return Matrix._new(self.field, self.ncols, self.nrows, self._t_bits())
         if self.field.kind == GFP:
             return Matrix._new(self.field, self.ncols, self.nrows, self._data.T.copy())
         rows = tuple(
@@ -534,21 +551,14 @@ class Matrix:
     # -- internal caches ----------------------------------------------
 
     def _t_bits(self) -> np.ndarray:
-        """Packed rows of the transpose (gf2). Cached; treat as read-only."""
-        tb = self._cache.get("tbits")
-        if tb is None:
-            tb = _pack_rows_u8(_unpack_bits(self._data, self.ncols).T)
-            tb.setflags(write=False)
-            self._cache["tbits"] = tb
-        return tb
+        """Packed rows of the transpose (gf2), freshly built."""
+        return _pack_rows_u8(_unpack_bits(self._data, self.ncols).T)
 
     def _column_ints(self) -> list[int]:
         """Columns as nrows-bit integers (gf2). Cached."""
         ci = self._cache.get("colints")
         if ci is None:
-            tb = self._t_bits()
-            ci = [int.from_bytes(tb[j].astype("<u8").tobytes(), "little") for j in range(self.ncols)]
-            self._cache["colints"] = ci
+            ci = self._cache["colints"] = _row_ints(self._t_bits())
         return ci
 
     def _column_vectors(self) -> list:
@@ -666,8 +676,7 @@ def _generic_rows(m: Matrix) -> list[list]:
 def rank(m: Matrix) -> int:
     """Matrix rank over its own field."""
     if m.field.kind == GF2:
-        bits = m._data.copy()
-        return _gf2core.rank_packed(bits, m.ncols)
+        return _gf2core.rank_packed(_row_ints(m._data))
     rows = _generic_rows(m)
     return len(_generic_echelon(rows, _arith_for(m.field), m.ncols, False))
 
@@ -688,32 +697,19 @@ def select_columns(m: Matrix, cols) -> Matrix:
 def columns_independent(m: Matrix, cols) -> bool:
     """Whether the selected columns are linearly independent."""
     cs = _as_column_set(cols, m.ncols)
-    k = len(cs)
-    if k == 0:
-        return True
-    if k > m.nrows:
+    if len(cs) > m.nrows:
         return False
-    if m.field.kind == GF2:
-        sub = m._t_bits()[list(cs.zero_based())].copy()
-        return _gf2core.rank_packed(sub, m.nrows) == k
-    return rank(select_columns(m, cs)) == k
+    make_basis, vecs = independence_tracker(m)
+    basis = make_basis()
+    return all(basis.insert(vecs[j]) for j in cs.zero_based())
 
 
 def kernel(m: Matrix) -> KernelBasis:
     """Basis of {v : m @ v = 0}; one vector per free column."""
     n = m.ncols
     if m.field.kind == GF2:
-        work = m._data.copy()
-        pivots = [int(c) for c in _gf2core.echelon(work, n, n, True)]
-        free = sorted(set(range(n)) - set(pivots))
-        vecs = []
-        for f in free:
-            v = np.zeros(n, np.uint8)
-            v[f] = 1
-            for r_i, c in enumerate(pivots):
-                v[c] = int((work[r_i, f >> 6] >> np.uint64(f & 63)) & np.uint64(1))
-            vecs.append(v)
-        return KernelBasis(m.field, n, tuple(vecs))
+        _, relations, _ = _gf2core.echelon(m._column_ints())
+        return KernelBasis(m.field, n, tuple(_int_bits(relations, n)))
     arith = _arith_for(m.field)
     rows = _generic_rows(m)
     pivots = _generic_echelon(rows, arith, n, True)
@@ -721,12 +717,9 @@ def kernel(m: Matrix) -> KernelBasis:
     vecs = []
     for f in free:
         v = zero_vector(m.field, n)
-        one = arith.one
-        v[f] = one
+        v[f] = arith.one
         for r_i, c in enumerate(pivots):
             v[c] = arith.neg(rows[r_i][f])
-        if m.field.kind == GFP:
-            v = np.array([int(x) for x in v], np.int64)
         vecs.append(v)
     return KernelBasis(m.field, n, tuple(vecs))
 
@@ -742,11 +735,9 @@ def solve_full(m: Matrix, y):
         yv = np.asarray(vector(m.field, y), np.uint8)
         if yv.shape[0] != m.nrows:
             raise ValueError("rhs length does not match nrows")
-        dense = _unpack_bits(m._data, n)
-        aug = np.concatenate([dense, yv.reshape(-1, 1)], axis=1)
-        work = _pack_rows_u8(aug)
-        rk, ok, x = _gf2core.solve_packed(work, n)
-        return int(rk), bool(ok), (x if ok else None)
+        y_int = _row_ints(_pack_vector_u8(yv)[None, :])[0]
+        rk, ok, x = _gf2core.solve_packed(m._column_ints(), y_int)
+        return rk, ok, (_int_bits([x], n)[0] if ok else None)
     arith = _arith_for(m.field)
     yv = vector(m.field, y)
     if len(yv) != m.nrows:
@@ -792,8 +783,8 @@ def matvec(m: Matrix, x):
         acc = m._data & xb[None, :]
         if hasattr(np, "bitwise_count"):
             pops = np.bitwise_count(acc).sum(axis=1)
-        else:  # pragma: no cover
-            pops = np.array([_gf2core.popcount_words(row) for row in acc])
+        else:  # pragma: no cover - numpy < 2.0
+            pops = np.unpackbits(acc.view(np.uint8), axis=1).sum(axis=1)
         return (pops & 1).astype(np.uint8)
     if m.field.kind == GFP:
         xv = np.asarray(vector(m.field, x), np.int64)
@@ -845,14 +836,13 @@ class BitBasis:
 
     def insert(self, v: int) -> bool:
         """Add a vector; True when it was independent of the span so far."""
-        while v:
-            h = v.bit_length() - 1
-            row = self._piv.get(h)
-            if row is None:
-                self._piv[h] = v
-                return True
-            v ^= row
-        return False
+        return _gf2core.insert(self._piv, v) is None
+
+    def copy(self) -> "BitBasis":
+        """Independent tracker with the same span."""
+        other = BitBasis()
+        other._piv = self._piv.copy()
+        return other
 
     def __len__(self) -> int:
         return len(self._piv)
@@ -882,6 +872,14 @@ class VectorBasis:
                 return True
             f = v[j]
             v = [ar.sub(x, ar.mul(f, w)) for x, w in zip(v, row)]
+
+    def copy(self) -> "VectorBasis":
+        """Independent tracker with the same span (stored rows are never
+        mutated, so they are shared)."""
+        other = VectorBasis.__new__(VectorBasis)
+        other._arith = self._arith
+        other._piv = self._piv.copy()
+        return other
 
     def __len__(self) -> int:
         return len(self._piv)
@@ -1003,10 +1001,10 @@ def read_matrix(source) -> Matrix:
     else:
         with open(source, "r", encoding="ascii") as fh:
             text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
-    head = lines[0].split()
+    head = lines[0][1].split()
     if len(head) != 3:
         raise ValueError("header must be '<nrows> <ncols> <field>'")
     try:
@@ -1019,15 +1017,16 @@ def read_matrix(source) -> Matrix:
     body = lines[1:]
     if len(body) != nrows:
         raise ValueError(f"expected {nrows} rows, found {len(body)}")
+    parse = Fraction if field.kind == RATIONAL else int
     rows = []
-    for ln in body:
+    for lineno, ln in body:
         toks = ln.split()
         if len(toks) != ncols:
-            raise ValueError(f"expected {ncols} entries per row, found {len(toks)}")
-        if field.kind == RATIONAL:
-            rows.append([Fraction(t) for t in toks])
-        else:
-            rows.append([int(t) for t in toks])
+            raise ValueError(f"line {lineno}: expected {ncols} entries, found {len(toks)}")
+        try:
+            rows.append([parse(t) for t in toks])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {lineno}: bad {field} entry ({exc})") from exc
     if not rows:
         return Matrix.zeros(field, nrows, ncols)
     return Matrix.from_rows(field, rows)

@@ -263,6 +263,8 @@ def l0_recover(a: Matrix, y, k_max: int, budget: int = 1 << 22) -> L0Result:
     (a rank-deficient consistent support already implies two distinct
     solutions of that size).
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     n = a.ncols
     yv = vector(a.field, y)
     tested = 0

@@ -6,7 +6,6 @@ use pinned seeds; exact checks use rational arithmetic with zero tolerance.
 """
 
 import itertools
-import json
 import math
 import os
 import random

@@ -234,3 +234,71 @@ def test_usage_errors():
     assert run_cli("profile").returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("profile", "--n", "12", "--s", "1/2").returncode == 2  # not a power of 2
+
+
+# ---------------------------------------------------------------- bad input
+
+def assert_usage_error(res):
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.fixture
+def pcm16_top8(tmp_path):
+    path = str(tmp_path / "h8.txt")
+    res = run_cli("construct", "--n", "16", "--s", "1/2", "--select", "top:8", "--out", path)
+    assert res.returncode == 0
+    return path
+
+
+def test_sidecar_must_rebuild_matrix(pcm16_top8):
+    # transform rows {1,2,3,4,5,6,8,10} next to the top:8 sidecar (H = [1..7, 9])
+    with open(pcm16_top8 + ".json") as fh:
+        assert json.load(fh)["H"] == [1, 2, 3, 4, 5, 6, 7, 9]
+    from highgirth import sierpinski
+
+    full = sierpinski(16).to_rows()
+    write_matrix(Matrix.from_rows(FieldSpec.gf2(), [full[i - 1] for i in (1, 2, 3, 4, 5, 6, 8, 10)]), pcm16_top8)
+    res = run_cli(
+        "simulate", "mec", "--pcm", pcm16_top8, "--p", "1/4",
+        "--trials", "2000", "--seed", "7",
+    )
+    assert_usage_error(res)
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meta: meta.pop("H"),
+        lambda meta: meta.pop("selection"),
+        lambda meta: meta.update(n="16"),
+        lambda meta: meta.update(n=32),
+        lambda meta: meta.update(s=0.5),
+        lambda meta: meta.update(H=[1, 2, 3, 4, 5, 6, 7, 99]),
+        lambda meta: meta.update(selection={"mode": "threshold"}),
+    ],
+)
+def test_sidecar_fields_checked(pcm16_top8, edit):
+    with open(pcm16_top8 + ".json") as fh:
+        meta = json.load(fh)
+    edit(meta)
+    with open(pcm16_top8 + ".json", "w") as fh:
+        json.dump(meta, fh)
+    res = run_cli("simulate", "mec", "--pcm", pcm16_top8, "--p", "1/4", "--trials", "10", "--seed", "7")
+    assert_usage_error(res)
+
+
+@pytest.mark.parametrize("field, entry", [("rational", "1/0"), ("rational", "x"), ("gf2", "1.5")])
+def test_bad_matrix_entry(tmp_path, field, entry):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"2 2 {field}\n1 0\n0 {entry}\n")
+    res = run_cli("analyze", "spark", "--matrix", str(path), "--k", "1")
+    assert_usage_error(res)
+    assert "line 3" in res.stderr
+
+
+def test_l0_negative_kmax(pcm16):
+    res = run_cli("analyze", "l0", "--matrix", pcm16, "--y=" + ",".join(["0"] * 12), "--kmax", "-1")
+    assert_usage_error(res)

@@ -5,7 +5,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from highgirth import (
@@ -334,41 +333,102 @@ def test_matrix_io_stream():
     assert back.to_rows() == m.to_rows()
 
 
-# ---------------------------------------------------------------- backends
+# ---------------------------------------------------------------- gf2 engine
+# The int engine in _gf2core is the only GF(2) eliminator.  These tests hold
+# it to brute-force answers computed from the definitions on matrices with
+# at most 10 columns, so no elimination is involved on the reference side.
 
-def pack_bits(rng, nrows, ncols):
-    nwords = (ncols + 63) // 64
-    bits = np.zeros((nrows, nwords), np.uint64)
-    for i in range(nrows):
-        for j in range(ncols):
-            if rng.randrange(2):
-                bits[i, j >> 6] |= np.uint64(1 << (j & 63))
-    return bits
+
+def random_gf2(rng):
+    """(rows, cols) of a random GF(2) matrix as ints; at most 10 columns."""
+    nrows = rng.randrange(1, 9)
+    ncols = rng.randrange(1, 11)
+    density = rng.choice((0.2, 0.5, 0.8))
+    rows = [sum(1 << j for j in range(ncols) if rng.random() < density) for _ in range(nrows)]
+    if rng.random() < 0.3 and nrows > 1:  # force a repeated row
+        rows[-1] = rows[0]
+    cols = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)]
+    return rows, cols, ncols
+
+
+def brute_independent(cols):
+    """indep[mask]: whether the columns in ``mask`` are independent, from
+    the definition (no nonempty sub-mask sums to zero)."""
+    size = 1 << len(cols)
+    total = [0] * size
+    dep = [False] * size
+    for mask in range(1, size):
+        low = (mask & -mask).bit_length() - 1
+        total[mask] = total[mask & (mask - 1)] ^ cols[low]
+        dep[mask] = total[mask] == 0 or any(
+            dep[mask & ~(1 << j)] for j in range(len(cols)) if mask >> j & 1
+        )
+    return [not d for d in dep], total
+
+
+def brute_pivots(indep, ncols):
+    """Columns at which the largest independent prefix subset grows."""
+    best = [max(bin(mask).count("1") for mask in range(1 << k) if indep[mask]) for k in range(ncols + 1)]
+    return [k for k in range(ncols) if best[k + 1] > best[k]], best[ncols]
+
+
+def to_matrix(rows, ncols):
+    return Matrix.from_rows(GF2, [[(r >> j) & 1 for j in range(ncols)] for r in rows])
 
 
 def test_gf2_echelon_backends_match():
     rng = random.Random(111)
-    for reduce_above in (False, True):
-        for _ in range(25):
-            nrows = rng.randrange(1, 9)
-            ncols = rng.randrange(1, 70)
-            bits = pack_bits(rng, nrows, ncols)
-            a, b = bits.copy(), bits.copy()
-            piv_a = core._echelon_scalar(a, ncols, ncols, reduce_above)
-            piv_b = core._echelon_numpy(b, ncols, ncols, reduce_above)
-            assert np.array_equal(piv_a, piv_b)
-            assert np.array_equal(a, b)
-            assert core.rank_packed(bits.copy(), ncols) == piv_a.shape[0]
+    for _ in range(120):
+        rows, cols, ncols = random_gf2(rng)
+        indep, total = brute_independent(cols)
+        pivots, rk = brute_pivots(indep, ncols)
+        assert rank(to_matrix(rows, ncols)) == rk
+        assert core.rank_packed(rows) == core.rank_packed(cols) == rk
+        got_pivots, relations, basis = core.echelon(cols)
+        assert got_pivots == pivots
+        assert len(basis) == rk
+        free = [j for j in range(ncols) if j not in pivots]
+        assert [r.bit_length() - 1 for r in relations] == free
+        for f, rel in zip(free, relations):
+            assert total[rel] == 0
+            assert all(j in pivots for j in range(f) if rel >> j & 1)
 
 
 def test_gf2_solve_backends_match():
     rng = random.Random(121)
-    for _ in range(25):
-        nrows = rng.randrange(1, 9)
-        ncols = rng.randrange(1, 66)
-        # one extra logical column carries the right-hand side
-        aug = pack_bits(rng, nrows, ncols + 1)
-        ra, ca, xa = core.solve_packed(aug.copy(), ncols)
-        rb, cb, xb = core.solve_packed_numpy(aug.copy(), ncols)
-        assert (ra, ca) == (rb, cb)
-        assert np.array_equal(xa, xb)
+    for t in range(120):
+        rows, cols, ncols = random_gf2(rng)
+        indep, total = brute_independent(cols)
+        pivots, rk = brute_pivots(indep, ncols)
+        piv_mask = sum(1 << c for c in pivots)
+        if t % 2:  # y in the column space, often with rank < ncols
+            y = total[rng.randrange(1 << ncols)]
+        else:
+            y = rng.getrandbits(len(rows))
+        reachable = [x for x in range(1 << ncols) if total[x] == y]
+        on_pivots = [x for x in reachable if x & ~piv_mask == 0]
+        yv = [(y >> i) & 1 for i in range(len(rows))]
+        got_rank, consistent, x = solve_full(to_matrix(rows, ncols), yv)
+        assert (got_rank, consistent) == (rk, bool(reachable))
+        if reachable:
+            assert len(on_pivots) == 1
+            assert sum(int(b) << j for j, b in enumerate(x)) == on_pivots[0]
+            assert core.solve_packed(cols, y) == (rk, True, on_pivots[0])
+        else:
+            assert x is None
+            assert core.solve_packed(cols, y)[:2] == (rk, False)
+
+
+def test_gf2_kernel_matches_reference():
+    rng = random.Random(131)
+    for _ in range(120):
+        rows, cols, ncols = random_gf2(rng)
+        indep, total = brute_independent(cols)
+        pivots, _ = brute_pivots(indep, ncols)
+        free = [j for j in range(ncols) if j not in pivots]
+        ker = kernel(to_matrix(rows, ncols))
+        assert len(ker) == len(free)
+        for f, v in zip(free, ker):
+            x = sum(int(b) << j for j, b in enumerate(v))
+            assert total[x] == 0
+            assert [(x >> g) & 1 for g in free] == [int(g == f) for g in free]
