@@ -27,6 +27,7 @@ from .fields import (
     EnumerationBudget,
     FieldSpec,
     Matrix,
+    _pack_rows_u8,
     columns_independent,
     kernel,
     matvec,
@@ -97,10 +98,12 @@ def code_from_pcm(pcm: Matrix) -> LinearCode:
     """Code with the given checks; rank-deficient check sets are allowed."""
     ker = kernel(pcm)
     k = len(ker)
-    if k:
-        gen = Matrix.from_rows(pcm.field, [list(v) for v in ker.vectors])
-    else:
+    if not k:
         gen = Matrix.zeros(pcm.field, 0, pcm.ncols)
+    elif pcm.field.kind == GF2:
+        gen = Matrix.from_packed_gf2(_pack_rows_u8(np.array(ker.vectors, np.uint8)), pcm.ncols)
+    else:
+        gen = Matrix.from_rows(pcm.field, [list(v) for v in ker.vectors])
     gi = None
     if pcm.field.kind == GF2:
         gi = tuple(_vec_to_int(v) for v in ker.vectors)

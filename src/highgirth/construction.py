@@ -191,26 +191,24 @@ class CheckMatrix:
 
 
 def _rows_matrix(n: int, picked: ColumnSet, field: FieldSpec) -> Matrix:
+    idx = np.array(picked.indices, np.int64) - 1
+    cols = ~np.arange(n)
     if field.kind == GF2:
         from .fields import _nwords
 
-        # pack in slabs so a large n never materializes the full dense block
-        packed = np.empty((len(picked), _nwords(n)), np.uint64)
-        idx = list(picked)
-        for lo in range(0, len(idx), 1024):
-            chunk = idx[lo : lo + 1024]
-            dense = np.zeros((len(chunk), n), np.uint8)
-            for t, row_i in enumerate(chunk):
-                dense[t] = sierpinski_row(n, row_i - 1)
-            packed[lo : lo + len(chunk)] = _pack_rows_u8(dense)
+        # pack in slabs of about 2**20 entries, so a large n never
+        # materializes the full dense block
+        packed = np.empty((len(idx), _nwords(n)), np.uint64)
+        step = max(1, (1 << 20) // n)
+        for lo in range(0, len(idx), step):
+            dense = (idx[lo : lo + step, None] & cols) == 0
+            packed[lo : lo + step] = _pack_rows_u8(dense)
         return Matrix.from_packed_gf2(packed, n)
     if n > DENSE_FIELD_CAP:
         raise ValueError(f"dense {field} check matrix capped at n={DENSE_FIELD_CAP}")
-    dense = np.zeros((len(picked), n), np.int64)
-    for t, row_i in enumerate(picked):
-        dense[t] = sierpinski_row(n, row_i - 1)
+    dense = ((idx[:, None] & cols) == 0).astype(np.int64)
     if field.kind == GFP:
-        return Matrix._new(field, len(picked), n, dense)
+        return Matrix._new(field, len(idx), n, dense)
     return Matrix.from_rows(field, dense.tolist())
 
 
@@ -223,10 +221,12 @@ def check_matrix(
 ) -> CheckMatrix:
     """Build the check matrix for sampling rate s under a selection rule.
 
-    Exact selection up to n=256; beyond that the guarded float path is
-    used (it recomputes boundary leaves exactly, so the choice of path
-    never changes the answer).  ``verify`` forces or skips the full-rank
-    recheck; by default it runs for n up to 1024 over gf2, 256 elsewhere.
+    Exact selection up to n=256; beyond that select_rows_fast decides
+    each leaf from a certified log-domain enclosure of its small tail and
+    recomputes exactly only the leaves whose enclosure meets the cut, so
+    the choice of path never changes the answer.  ``verify`` forces or
+    skips the full-rank recheck; by default it runs for n up to 1024 over
+    gf2, 256 elsewhere.
     """
     sf = parse_probability(s, "s")
     if n <= EXACT_SELECTION_CAP:

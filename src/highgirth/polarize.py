@@ -10,13 +10,22 @@ decoding failure bound.  The profile is a martingale: the exact leaf
 values always sum to n * s.
 
 Exact leaves are polynomials of degree up to n in s, so their bit size
-doubles per level.  The float path tracks them to within 2**(levels-52),
-and the selection routines use a guard band plus exact recomputation of
-the few ambiguous leaves, so fast selection agrees with exact selection.
+doubles per level.  They are computed on integer numerators over the
+shared denominator b**(2**k) of a level-k value, s = a/b.  The float
+profile tracks the leaves to within 2**(levels-52) absolute, which is too
+coarse for the paper's threshold 1 - 2**-ceil(n**0.49) once n > 2048.
+Fast selection therefore tracks, per leaf, the small tail (v or 1 - v)
+as a certified interval on its log2.  One branch squares that tail, which
+doubles the log exactly; the other moves it by a rounded transcendental
+step that the interval is widened to cover.  This keeps relative
+precision where absolute precision runs out.  Only leaves whose interval
+straddles the decision (or whose side is undecided near 1/2) are
+recomputed exactly, so fast selection agrees with exact selection.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,14 +86,14 @@ def rank_profile(n: int, s) -> tuple[Fraction, ...]:
     """
     levels = _levels(n)
     s = parse_probability(s, "s")
-    vals = [s]
+    nums, den = [s.numerator], s.denominator
     for _ in range(levels):
-        nxt = []
-        for v in vals:
-            nxt.append(2 * v - v * v)
-            nxt.append(v * v)
-        vals = nxt
-    return tuple(vals)
+        # a/D -> (2aD - a**2)/D**2 and a**2/D**2
+        nums = [c for a in nums for c in (a * (2 * den - a), a * a)]
+        den *= den
+    # pop from the back so each numerator is freed once its Fraction exists
+    nums.reverse()
+    return tuple(Fraction(nums.pop(), den) for _ in range(len(nums)))
 
 
 def rank_profile_float(n: int, s) -> np.ndarray:
@@ -110,13 +119,12 @@ def profile_leaf(n: int, i: int, s) -> Fraction:
     if not 1 <= i <= n:
         raise ValueError(f"leaf index {i} out of range for n={n}")
     x = parse_probability(s, "s")
+    a, den = x.numerator, x.denominator
     j = i - 1
     for b in range(levels - 1, -1, -1):
-        if (j >> b) & 1:
-            x = x * x
-        else:
-            x = 2 * x - x * x
-    return x
+        a = a * a if (j >> b) & 1 else a * (2 * den - a)
+        den *= den
+    return Fraction(a, den)
 
 
 @dataclass(frozen=True)
@@ -282,54 +290,129 @@ def select_rows(n: int, s, spec: SelectionSpec) -> ColumnSet:
     return ColumnSet(tuple(sorted(j + 1 for j in order[:m])))
 
 
-def _guard_band(n: int) -> float:
-    # float leaf error is below 2**(levels-52); leave a 4x margin, and
-    # never go narrower than the documented 2**-40 band
-    return max(2.0**-40, 2.0 ** (_levels(n) - 50))
+# ---------------------------------------------------------------------------
+# certified log-domain enclosures of the small tail, for fast selection
+#
+# A leaf's tail is v on side 0 and 1 - v on side 1.  math.log2 and numpy's
+# float64 exp2 and log2 are taken to be within 4 ulps of the true value.
+# Each rounded log2 result r is widened to [r*(1+_PAD) - _PAD,
+# r*(1-_PAD) + _PAD], that is by _PAD * (1 + |r|) = 32 unit roundoffs of
+# max(1, |r|) per side.  The steps below lose at most about 25 of those:
+# 4-ulp exp2 and log2, the rounding of 2 - u or 1 - u, the final add, and
+# the padding arithmetic itself.  log2 of an exact fraction a/b is padded
+# by _PAD * (1 + |log2 a| + |log2 b|), which covers both logs and the
+# difference.
+
+_PAD = 2.0**-48
+
+
+def _tail(x: Fraction) -> tuple[bool, float, float]:
+    """(side, lo, hi): the small tail of an exact x in [0, 1] and floats
+    lo <= log2(tail) <= hi; side is True where the tail is 1 - x."""
+    side = x > Fraction(1, 2)
+    t = 1 - x if side else x
+    if t == 0:
+        return side, -math.inf, -math.inf
+    a, b = math.log2(t.numerator), math.log2(t.denominator)
+    pad = _PAD * (1 + abs(a) + abs(b))
+    return side, a - b - pad, a - b + pad
+
+
+def _down(r: np.ndarray, pad) -> np.ndarray:
+    return r * (1 + pad) - pad
+
+
+def _up(r: np.ndarray, pad) -> np.ndarray:
+    return r * (1 - pad) + pad
+
+
+def _tail_enclosure(n: int, s: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per leaf: side (True where the tail is 1 - v) and lo <= log2(tail) <= hi.
+
+    The squaring child of a node (rr on side 0, ell on side 1) keeps the
+    side and doubles both ends exactly.  The other child maps the tail t
+    to t*(2 - t), i.e. L -> L + log2(2 - 2**L), increasing in L.  When
+    that exceeds 1/2 by the interval's midpoint, which needs t > 0.29, the
+    child flips side instead: its tail is (1 - t)**2, i.e.
+    L -> 2*log2(1 - 2**L), decreasing in L.  The flipped step's error
+    grows with t/(1 - t), and so does its padding, so every interval
+    stays certified however wide it gets.
+    """
+    levels = _levels(n)
+    side, lo, hi = (np.array([v]) for v in _tail(s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(levels):
+            u_lo, u_hi = np.exp2(lo), np.exp2(hi)
+            f_lo = lo + np.log2(2 - u_lo)
+            f_hi = hi + np.log2(2 - u_hi)
+            flip = f_lo + f_hi > -2
+            g_lo = _down(2 * np.log2(1 - u_hi), _PAD * (1 + u_hi / (1 - u_hi)))
+            g_hi = _up(2 * np.log2(1 - u_lo), _PAD * (1 + u_lo / (1 - u_lo)))
+            o_lo = np.where(flip, g_lo, _down(f_lo, _PAD))
+            o_hi = np.minimum(np.where(flip, g_hi, _up(f_hi, _PAD)), 0.0)
+            m = side.shape[0]
+            nlo, nhi, nside = np.empty(2 * m), np.empty(2 * m), np.empty(2 * m, bool)
+            # even children take ell, odd children rr; rr squares side 0
+            nlo[0::2] = np.where(side, 2 * lo, o_lo)
+            nlo[1::2] = np.where(side, o_lo, 2 * lo)
+            nhi[0::2] = np.where(side, 2 * hi, o_hi)
+            nhi[1::2] = np.where(side, o_hi, 2 * hi)
+            nside[0::2] = side | flip
+            nside[1::2] = side & ~flip
+            side, lo, hi = nside, nlo, nhi
+    return side, lo, hi
+
+
+def _key_enclosure(side, lo, hi):
+    """Enclosure of key(v) from a tail enclosure; key increases strictly with v.
+
+    key(v) = log2(v) for v <= 1/2 and -log2(1 - v) for v > 1/2, so it
+    jumps from -1 to above 1 at 1/2.
+    """
+    return np.where(side, -hi, lo), np.where(side, -lo, hi)
 
 
 def select_rows_fast(n: int, s, spec: SelectionSpec) -> ColumnSet:
-    """Same selection as select_rows, via the float profile.
+    """Same selection as select_rows, via certified tail enclosures.
 
-    Leaves farther than a guard band from the decision boundary are
-    classified by their float value; the few ambiguous leaves are
-    recomputed exactly, so the result matches the exact selection.
+    Each leaf gets an interval on its key (see _key_enclosure); a leaf
+    whose tail may reach 1/2, so that its side is undecided, gets an
+    unbounded one.  Leaves whose interval lies wholly above the cut are
+    taken, wholly below are dropped, and the rest are recomputed exactly
+    with profile_leaf, so the result matches the exact selection.  In
+    top mode the cut runs from the m-th largest lower end to the
+    (m+1)-th largest upper end: a leaf above the latter beats n - m
+    others, and one below the former is beaten by m others.
     """
     spec = spec.resolve(n)
     sf = parse_probability(s, "s")
-    prof = rank_profile_float(n, sf)
-    band = _guard_band(n)
+    if spec.mode == "top":
+        m = spec.count
+        if m > n:
+            raise ValueError(f"cannot take top {m} of {n} rows")
+        if m == 0:
+            return ColumnSet.empty()
+        if m == n:
+            return ColumnSet.full(n)
+    side, lo, hi = _tail_enclosure(n, sf)
+    klo, khi = _key_enclosure(side, lo, hi)
+    undecided = hi >= -1
+    klo[undecided], khi[undecided] = -np.inf, np.inf
     if spec.mode == "threshold":
         t = spec.threshold
-        tf = float(t)
-        keep = np.nonzero(prof > tf + band)[0]
-        unsure = np.nonzero(np.abs(prof - tf) <= band)[0]
-        out = set(int(j) + 1 for j in keep)
-        for j in unsure:
-            if profile_leaf(n, int(j) + 1, sf) > t:
-                out.add(int(j) + 1)
-        return ColumnSet(tuple(sorted(out)))
-    m = spec.count
-    if m > n:
-        raise ValueError(f"cannot take top {m} of {n} rows")
-    if m == 0:
-        return ColumnSet.empty()
-    if m == n:
-        return ColumnSet.full(n)
-    order = np.lexsort((np.arange(n), -prof))
-    cut = prof[order[m - 1]]
-    sure = [int(j) for j in order[:m] if prof[j] > cut + band]
-    boundary = [int(j) for j in range(n) if abs(prof[j] - cut) <= band]
-    exact_vals = {j: profile_leaf(n, j + 1, sf) for j in boundary}
-    boundary.sort(key=lambda j: (-exact_vals[j], j))
-    pick = set(sure)
-    for j in boundary:
-        if len(pick) == m:
-            break
-        pick.add(j)
-    if len(pick) != m:
-        raise AssertionError("fast top selection lost rows; widen the band")
-    return ColumnSet(tuple(sorted(j + 1 for j in pick)))
+        cut_lo, cut_hi = _key_enclosure(*_tail(t))
+    else:
+        cut_lo = np.partition(klo, n - m)[n - m]
+        cut_hi = np.partition(khi, n - m - 1)[n - m - 1]
+    sure = klo > cut_hi
+    unsure = np.flatnonzero(~sure & (khi >= cut_lo)).tolist()
+    exact = {j: profile_leaf(n, j + 1, sf) for j in unsure}
+    if spec.mode == "threshold":
+        extra = [j for j in unsure if exact[j] > t]
+    else:
+        extra = sorted(unsure, key=lambda j: (-exact[j], j))[: m - int(sure.sum())]
+    picked = np.flatnonzero(sure).tolist() + extra
+    return ColumnSet(tuple(sorted(j + 1 for j in picked)))
 
 
 def polarization_fractions(values, delta) -> tuple[Fraction, Fraction, Fraction]:

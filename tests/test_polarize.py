@@ -1,7 +1,9 @@
 """Rank profile recursion, leaf ordering, selection, and threshold defaults."""
 
+import functools
 import io
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +26,9 @@ from highgirth import (
     select_rows,
     select_rows_fast,
 )
+from highgirth import polarize
 from highgirth.polarize import (
-    _guard_band,
+    _tail_enclosure,
     bhattacharyya_profile_float,
     read_profile_csv,
     write_profile_csv,
@@ -108,20 +111,29 @@ def test_profile_rejects_bad_input():
 
 # ---------------------------------------------------------------- float path
 
+def float_error_bound(n):
+    # documented float-profile error: below 2**(levels-52), stated here
+    # with a 4x margin and never finer than 2**-40
+    return max(2.0**-40, 2.0 ** (n.bit_length() - 1 - 50))
+
+
 def test_float_profile_tracks_exact():
     for n in (2, 16, 256, 1024):
         s = F(1, 3)
         exact = rank_profile(n, s)
         approx = rank_profile_float(n, s)
-        band = _guard_band(n)
         assert approx.shape == (n,)
         worst = max(abs(float(e) - a) for e, a in zip(exact, approx))
-        assert worst <= band
+        assert worst <= float_error_bound(n)
 
 
 def test_guard_band_covers_rounding():
-    assert _guard_band(2) == 2.0 ** -40
-    assert _guard_band(1 << 20) >= 2.0 ** -30
+    # deep enough that the bound 2**(levels-50) is the binding one
+    n = 1 << 14
+    approx = rank_profile_float(n, F(2, 5))
+    for i in range(1, n + 1, 97):
+        err = abs(float(profile_leaf(n, i, F(2, 5))) - approx[i - 1])
+        assert err <= float_error_bound(n) == 2.0**-36
 
 
 def test_compute_profile_modes():
@@ -130,8 +142,24 @@ def test_compute_profile_modes():
     q = compute_profile(8, F(1, 2), exact=False)
     assert not q.exact
     assert all(isinstance(v, float) for v in q.values)
-    band = _guard_band(8)
+    band = float_error_bound(8)
     assert all(abs(a - float(b)) <= band for a, b in zip(q.values, p.values))
+
+
+def test_tail_enclosure_contains_exact_tail():
+    # side True means the tail is 1 - v; its log2 must lie in [lo, hi]
+    for s in (F(0), F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(1)):
+        for levels in range(11):
+            n = 1 << levels
+            side, lo, hi = _tail_enclosure(n, s)
+            assert side.shape == lo.shape == hi.shape == (n,)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                ln2 = Decimal(2).ln()
+                for v, sd, a, b in zip(rank_profile(n, s), side, lo, hi):
+                    tail = 1 - v if sd else v
+                    log_tail = (Decimal(tail.numerator) / tail.denominator).ln() / ln2
+                    assert Decimal(a) <= log_tail <= Decimal(b) <= 0, (n, s, v)
 
 
 # ---------------------------------------------------------------- selection
@@ -161,7 +189,9 @@ def test_top_selection_prefers_small_index_on_ties():
     assert got4.indices == (1, 2)
 
 
-def test_fast_selection_matches_exact():
+def test_fast_selection_matches_exact(monkeypatch):
+    # select_rows recomputes the exact profile per call; share it
+    monkeypatch.setattr(polarize, "rank_profile", functools.cache(polarize.rank_profile))
     rng = random.Random(55)
     for n in (2, 4, 16, 64, 256, 1024):
         specs = [
@@ -175,6 +205,31 @@ def test_fast_selection_matches_exact():
                 a = select_rows(n, s, spec)
                 b = select_rows_fast(n, s, spec)
                 assert a.indices == b.indices, (n, s, spec.name())
+    # exact top selection sorts big Fractions, so n = 4096 takes one m
+    for n, rates, counts in (
+        (1024, (F(1, 2), F(2, 5), F(5, 7)), (1, 204, 512, 1023)),
+        (4096, (F(1, 2),), (819,)),
+    ):
+        for s in rates:
+            specs = [SelectionSpec.auto()]
+            specs += [SelectionSpec.top(m) for m in counts]
+            specs += [SelectionSpec.at_threshold(t) for t in (F(0), F(1, 2), F(3, 4), F(1))]
+            for spec in specs:
+                a = select_rows(n, s, spec)
+                b = select_rows_fast(n, s, spec)
+                assert a.indices == b.indices, (n, s, spec.name())
+
+
+def test_fast_selection_ties_at_degenerate_rates():
+    # s = 0 or 1 makes every leaf equal: top:m must take the first m
+    for n in (2, 64, 4096):
+        for s in (F(0), F(1)):
+            for m in (1, 3, n // 2, n - 1, n):
+                spec = SelectionSpec.top(min(m, n))
+                assert select_rows_fast(n, s, spec) == select_rows(n, s, spec)
+            for t in (F(0), F(1, 2), F(1)):
+                spec = SelectionSpec.at_threshold(t)
+                assert select_rows_fast(n, s, spec) == select_rows(n, s, spec)
 
 
 def test_fast_selection_boundary_leaves():
@@ -184,6 +239,30 @@ def test_fast_selection_boundary_leaves():
         for t in set(prof):
             spec = SelectionSpec.at_threshold(t)
             assert select_rows(n, F(1, 2), spec) == select_rows_fast(n, F(1, 2), spec)
+    rng = random.Random(66)
+    for n in (64, 256):
+        for s in (F(1, 2), F(2, 3), F(7, 9)):
+            prof = rank_profile(n, s)
+            for t in rng.sample(sorted(set(prof)), 24):
+                spec = SelectionSpec.at_threshold(t)
+                assert select_rows(n, s, spec) == select_rows_fast(n, s, spec), (n, s, t)
+
+
+def test_fast_selection_exact_leaf_count(monkeypatch):
+    # the paper's threshold at n = 8192 sits far below float64's absolute
+    # resolution; the log-domain enclosure still decides almost every leaf
+    calls = []
+    leaf = polarize.profile_leaf
+
+    def counting(n, i, s):
+        calls.append(i)
+        return leaf(n, i, s)
+
+    monkeypatch.setattr(polarize, "profile_leaf", counting)
+    for s, kept in ((F(1, 2), 1687), (F(2, 5), 1145)):
+        calls.clear()
+        assert len(select_rows_fast(8192, s, SelectionSpec.auto())) == kept
+        assert len(calls) <= 4, (s, len(calls))
 
 
 def test_selection_spec_parse_roundtrip():
