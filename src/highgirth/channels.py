@@ -44,20 +44,19 @@ class ChannelOutput:
     flagged: ColumnSet
 
 
-def _erase_positions(n: int, p: Fraction, stream: SubStream) -> ColumnSet:
-    mask = stream.bernoulli_mask(n, p)
-    return ColumnSet(tuple(int(j) + 1 for j in np.nonzero(mask)[0]))
+def _flagged(mask: np.ndarray) -> ColumnSet:
+    """1-based positions of the ones in a 0/1 mask."""
+    return ColumnSet(tuple((np.flatnonzero(mask) + 1).tolist()))
 
 
 def mec_transmit(field: FieldSpec, codeword, p, stream: SubStream) -> ChannelOutput:
     """Erase each coordinate independently with probability p."""
     pf = parse_probability(p, "p")
-    n = len(codeword)
-    erased = _erase_positions(n, pf, stream)
+    mask = stream.bernoulli_mask(len(codeword), pf)
+    erased = _flagged(mask)
     if field.kind in (GF2, GFP):
         out = np.array(codeword)
-        for i in erased:
-            out[i - 1] = 0
+        out[mask.astype(bool)] = 0
     else:
         out = list(codeword)
         for i in erased:
@@ -70,9 +69,7 @@ def bsc_transmit(codeword, p, stream: SubStream) -> ChannelOutput:
     pf = parse_probability(p, "p")
     cw = np.asarray(codeword, np.uint8)
     mask = stream.bernoulli_mask(cw.shape[0], pf)
-    out = cw ^ mask
-    flipped = ColumnSet(tuple(int(j) + 1 for j in np.nonzero(mask)[0]))
-    return ChannelOutput(FieldSpec.gf2(), out, flipped)
+    return ChannelOutput(FieldSpec.gf2(), cw ^ mask, _flagged(mask))
 
 
 def bhattacharyya_bsc(p) -> float:

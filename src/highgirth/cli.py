@@ -319,8 +319,9 @@ def _add_threads(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=_default_threads(),
-        help="worker threads (results are identical for any count; "
-        "default from HIGHGIRTH_THREADS, else 1)",
+        help="accepted for compatibility; trials run in order on one thread, "
+        "so the count changes neither output nor speed (default from "
+        "HIGHGIRTH_THREADS, else 1)",
     )
 
 

@@ -19,6 +19,7 @@ from math import comb
 
 import numpy as np
 
+from . import _gf2core
 from .channels import ChannelOutput, bhattacharyya_upper, bsc_transmit, mec_transmit
 from .fields import (
     GF2,
@@ -27,10 +28,12 @@ from .fields import (
     EnumerationBudget,
     FieldSpec,
     Matrix,
+    _as_column_set,
     _pack_rows_u8,
     columns_independent,
     kernel,
     matvec,
+    negate_vector,
     parse_probability,
     select_columns,
     solve_full,
@@ -158,31 +161,46 @@ class DecodeResult:
     erased: ColumnSet
 
 
+def _mec_decode_gf2(code: LinearCode, y0, erased: ColumnSet) -> DecodeResult:
+    # everything runs on the check matrix's cached column ints, so a trial
+    # builds no matrix: the syndrome XORs the columns at the word's ones
+    # (erased slots included, so it equals matvec for any input)
+    filled = vector(code.field, y0)
+    if filled.shape[0] != code.n:
+        raise ValueError("vector length does not match ncols")
+    erased = _as_column_set(erased, code.n, "erased")
+    cols = code.pcm._column_ints()
+    syn = 0
+    for j in np.flatnonzero(filled).tolist():
+        syn ^= cols[j]
+    rk, consistent, x = _gf2core.solve_packed([cols[i - 1] for i in erased], syn)
+    if not consistent:
+        return DecodeResult("inconsistent", None, erased)
+    if rk < len(erased):
+        return DecodeResult("ambiguous", None, erased)
+    filled[list(erased.zero_based())] = _int_to_vec(x, len(erased))
+    return DecodeResult("decoded", filled, erased)
+
+
 def mec_decode(code: LinearCode, output: ChannelOutput) -> DecodeResult:
     """Fill erased coordinates by solving the syndrome equations."""
     erased = output.flagged
     y0 = output.symbols
+    if code.field.kind == GF2:
+        return _mec_decode_gf2(code, y0, erased)
     syn = matvec(code.pcm, y0)
     if len(erased) == 0:
         ok = all(v == 0 for v in (syn.tolist() if isinstance(syn, np.ndarray) else syn))
         return DecodeResult("decoded" if ok else "inconsistent", y0 if ok else None, erased)
     sub = select_columns(code.pcm, erased)
     # checks read the erased slots as 0, so the residual syndrome equals
-    # the sub-matrix applied to the missing values (self-inverse signs
-    # only over gf2; otherwise solve for the negated values)
-    if code.field.kind != GF2:
-        from .fields import negate_vector
-
-        syn = negate_vector(code.field, syn)
-    rk, consistent, x = solve_full(sub, syn)
+    # the sub-matrix applied to the negated missing values
+    rk, consistent, x = solve_full(sub, negate_vector(code.field, syn))
     if not consistent:
         return DecodeResult("inconsistent", None, erased)
     if rk < len(erased):
         return DecodeResult("ambiguous", None, erased)
-    if code.field.kind == GF2:
-        filled = np.asarray(y0, np.uint8).copy()
-        filled[list(erased.zero_based())] = x
-    elif code.field.kind == GFP:
+    if code.field.kind == GFP:
         filled = np.asarray(y0, np.int64).copy()
         filled[list(erased.zero_based())] = x
     else:

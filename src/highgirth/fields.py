@@ -596,6 +596,13 @@ class Matrix:
 
 def vector(field: FieldSpec, values):
     """Coerce a sequence to the canonical vector type for the field."""
+    if (
+        field.kind == GF2
+        and isinstance(values, np.ndarray)
+        and values.ndim == 1
+        and values.dtype.kind in "biu"
+    ):
+        return (values & 1).astype(np.uint8)
     vals = list(values)
     if field.kind == GF2:
         out = np.empty(len(vals), np.uint8)

@@ -78,11 +78,11 @@ def _levels(n: int) -> int:
     return n.bit_length() - 1
 
 
-def rank_profile(n: int, s) -> tuple[Fraction, ...]:
-    """Exact length-n profile of s under the branch recursion.
+def _profile_numerators(n: int, s) -> tuple[list[int], int]:
+    """(nums, den): the exact profile of s is nums[j]/den, leaf j 0-based.
 
-    Leaf order: the binary expansion of the 0-based index, most
-    significant bit first, spells the branch path (0 = ell, 1 = rr).
+    Every leaf shares den = b**n for s = a/b, so comparing numerators
+    compares leaves.
     """
     levels = _levels(n)
     s = parse_probability(s, "s")
@@ -91,6 +91,16 @@ def rank_profile(n: int, s) -> tuple[Fraction, ...]:
         # a/D -> (2aD - a**2)/D**2 and a**2/D**2
         nums = [c for a in nums for c in (a * (2 * den - a), a * a)]
         den *= den
+    return nums, den
+
+
+def rank_profile(n: int, s) -> tuple[Fraction, ...]:
+    """Exact length-n profile of s under the branch recursion.
+
+    Leaf order: the binary expansion of the 0-based index, most
+    significant bit first, spells the branch path (0 = ell, 1 = rr).
+    """
+    nums, den = _profile_numerators(n, s)
     # pop from the back so each numerator is freed once its Fraction exists
     nums.reverse()
     return tuple(Fraction(nums.pop(), den) for _ in range(len(nums)))
@@ -113,8 +123,9 @@ def rank_profile_float(n: int, s) -> np.ndarray:
     return v
 
 
-def profile_leaf(n: int, i: int, s) -> Fraction:
-    """Exact profile value at 1-based leaf i, without the other leaves."""
+def _leaf_numerator(n: int, i: int, s) -> tuple[int, int]:
+    """(a, den): the profile value at 1-based leaf i is a/den, with the
+    same den for every leaf (see _profile_numerators)."""
     levels = _levels(n)
     if not 1 <= i <= n:
         raise ValueError(f"leaf index {i} out of range for n={n}")
@@ -124,7 +135,17 @@ def profile_leaf(n: int, i: int, s) -> Fraction:
     for b in range(levels - 1, -1, -1):
         a = a * a if (j >> b) & 1 else a * (2 * den - a)
         den *= den
-    return Fraction(a, den)
+    return a, den
+
+
+def profile_leaf(n: int, i: int, s) -> Fraction:
+    """Exact profile value at 1-based leaf i, without the other leaves."""
+    return Fraction(*_leaf_numerator(n, i, s))
+
+
+def _above(a: int, den: int, t: Fraction) -> bool:
+    """a/den > t, without building the Fraction (den > 0)."""
+    return a * t.denominator > t.numerator * den
 
 
 @dataclass(frozen=True)
@@ -277,16 +298,20 @@ class SelectionSpec:
 
 
 def select_rows(n: int, s, spec: SelectionSpec) -> ColumnSet:
-    """Selected 1-based row indices, from the exact profile."""
+    """Selected 1-based row indices, from the exact profile.
+
+    Leaves are compared on their integer numerators over the shared
+    denominator, and against a threshold by cross-multiplication.
+    """
     spec = spec.resolve(n)
-    prof = rank_profile(n, s)
+    nums, den = _profile_numerators(n, s)
     if spec.mode == "threshold":
         t = spec.threshold
-        return ColumnSet(tuple(j + 1 for j in range(n) if prof[j] > t))
+        return ColumnSet(tuple(j + 1 for j, a in enumerate(nums) if _above(a, den, t)))
     m = spec.count
     if m > n:
         raise ValueError(f"cannot take top {m} of {n} rows")
-    order = sorted(range(n), key=lambda j: (-prof[j], j))
+    order = sorted(range(n), key=lambda j: (-nums[j], j))
     return ColumnSet(tuple(sorted(j + 1 for j in order[:m])))
 
 
@@ -379,7 +404,7 @@ def select_rows_fast(n: int, s, spec: SelectionSpec) -> ColumnSet:
     whose tail may reach 1/2, so that its side is undecided, gets an
     unbounded one.  Leaves whose interval lies wholly above the cut are
     taken, wholly below are dropped, and the rest are recomputed exactly
-    with profile_leaf, so the result matches the exact selection.  In
+    with _leaf_numerator, so the result matches the exact selection.  In
     top mode the cut runs from the m-th largest lower end to the
     (m+1)-th largest upper end: a leaf above the latter beats n - m
     others, and one below the former is beaten by m others.
@@ -406,11 +431,13 @@ def select_rows_fast(n: int, s, spec: SelectionSpec) -> ColumnSet:
         cut_hi = np.partition(khi, n - m - 1)[n - m - 1]
     sure = klo > cut_hi
     unsure = np.flatnonzero(~sure & (khi >= cut_lo)).tolist()
-    exact = {j: profile_leaf(n, j + 1, sf) for j in unsure}
+    # numerators only: the leaves share one denominator, and a Fraction's
+    # gcd would cost far more than the numerator at large n
+    exact = {j: _leaf_numerator(n, j + 1, sf) for j in unsure}
     if spec.mode == "threshold":
-        extra = [j for j in unsure if exact[j] > t]
+        extra = [j for j in unsure if _above(*exact[j], t)]
     else:
-        extra = sorted(unsure, key=lambda j: (-exact[j], j))[: m - int(sure.sum())]
+        extra = sorted(unsure, key=lambda j: (-exact[j][0], j))[: m - int(sure.sum())]
     picked = np.flatnonzero(sure).tolist() + extra
     return ColumnSet(tuple(sorted(j + 1 for j in picked)))
 

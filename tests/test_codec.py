@@ -26,11 +26,14 @@ from highgirth import (
     ml_decode_bsc,
     pairwise_tail,
     rank,
+    select_columns,
+    solve_full,
     syndrome,
     union_bound_bsc,
     union_bound_mec,
     weight_enumerator,
 )
+from highgirth.channels import ChannelOutput
 from highgirth.codec import render_report
 from highgirth.fields import vector, vectors_equal
 from highgirth.montecarlo import SubStream
@@ -164,6 +167,61 @@ def test_mec_decode_generic_field():
         res = mec_decode(code, out)
         if res.status == "decoded":
             assert vectors_equal(res.codeword, cw)
+
+
+def reference_mec_decode(code, y, erased):
+    """Decode by materialising the erased columns as their own matrix."""
+    rk, ok, x = solve_full(select_columns(code.pcm, erased), matvec(code.pcm, y))
+    if not ok:
+        return "inconsistent", None
+    if rk < len(erased):
+        return "ambiguous", None
+    filled = np.asarray(y, np.uint8).copy()
+    filled[list(erased.zero_based())] = x
+    return "decoded", filled
+
+
+def test_mec_decode_gf2_matches_sub_matrix_solve():
+    rng = random.Random(17)
+    for n, m in ((64, 32), (256, 128)):
+        code = code_from_pcm(check_matrix(n, F(1, 2), SelectionSpec.top(m)).matrix)
+        seen = set()
+        for t in range(120):
+            cw = encode(code, [rng.randrange(2) for _ in range(code.k)])
+            size = rng.choice((0, 1, m // 4, m // 2, m - 4, m, m + 8))
+            erased = ColumnSet.of(rng.sample(range(1, n + 1), size))
+            if t % 3 == 0:  # a word that is not a codeword
+                y = np.array([rng.randrange(2) for _ in range(n)], np.uint8)
+            else:
+                y = np.array(cw, np.uint8)
+                if t % 3 == 1:  # erased slots zeroed, as the channel does
+                    y[list(erased.zero_based())] = 0
+                # else: the erased slots keep nonzero symbols
+            want, filled = reference_mec_decode(code, y, erased)
+            res = mec_decode(code, ChannelOutput(GF2, y, erased))
+            assert res.status == want, (n, t)
+            assert res.erased == erased
+            if want == "decoded":
+                assert res.codeword.dtype == np.uint8
+                assert np.array_equal(res.codeword, filled)
+            else:
+                assert res.codeword is None
+            seen.add(want)
+        assert seen == {"decoded", "ambiguous", "inconsistent"}, n
+
+
+def test_mec_decode_gf2_input_checks():
+    code = code_from_pcm(Matrix.from_rows(GF2, HAMMING_7_4))
+    with pytest.raises(ValueError):
+        mec_decode(code, ChannelOutput(GF2, np.zeros(6, np.uint8), ColumnSet.of([1])))
+    with pytest.raises(ValueError):
+        mec_decode(code, ChannelOutput(GF2, np.zeros(7, np.uint8), ColumnSet.of([8])))
+    with pytest.raises(TypeError):
+        mec_decode(code, ChannelOutput(GF2, np.zeros(7), ColumnSet.of([1])))
+    # list input, odd symbols read mod 2 as matvec reads them
+    res = mec_decode(code, ChannelOutput(GF2, [3, 0, 1, 0, 1, 0, 1], ColumnSet.of([2])))
+    assert res.status == "decoded"
+    assert res.codeword.tolist() == [1, 0, 1, 0, 1, 0, 1]
 
 
 def test_mec_error_rate_identity():

@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from highgirth import (
@@ -432,3 +433,33 @@ def test_gf2_kernel_matches_reference():
             x = sum(int(b) << j for j, b in enumerate(v))
             assert total[x] == 0
             assert [(x >> g) & 1 for g in free] == [int(g == f) for g in free]
+
+
+def test_gf2_vector_from_integer_arrays():
+    rng = np.random.default_rng(5)
+    arrays = [
+        rng.integers(-128, 128, 40, dtype=np.int8),
+        rng.integers(-(1 << 62), 1 << 62, 40, dtype=np.int64),
+        rng.integers(0, 1 << 64, 40, dtype=np.uint64, endpoint=False),
+        rng.integers(0, 2, 40).astype(bool),
+        np.zeros(0, np.int64),
+    ]
+    for arr in arrays:
+        got = vector(GF2, arr)
+        assert got.dtype == np.uint8 and got.shape == arr.shape
+        # the element loop, which numpy scalars pass through
+        assert got.tolist() == [int(v) & 1 for v in arr], arr.dtype
+        assert got is not arr
+    src = np.array([1, 3, 4], np.uint8)
+    out = vector(GF2, src)
+    out[0] = 0
+    assert src.tolist() == [1, 3, 4]  # always a copy
+
+
+def test_gf2_vector_rejects_floats_and_bools():
+    with pytest.raises(TypeError):
+        vector(GF2, np.array([0.0, 1.0]))
+    with pytest.raises(TypeError):
+        vector(GF2, [1, 0.0])
+    with pytest.raises(TypeError):
+        vector(GF2, [True, 0])

@@ -1,6 +1,7 @@
 """Counter-based sampling streams, trial running, and interval estimates."""
 
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,22 @@ def test_run_trials_thread_invariant():
     b = run_trials(1000, trial, seed=13, threads=4)
     assert a == b
     assert len(a) == 1000
+
+
+def test_run_trials_runs_in_order_on_the_calling_thread():
+    seen = []
+
+    def trial(stream):
+        seen.append(threading.get_ident())
+        return int(stream.raw(1)[0])
+
+    a = run_trials(40, trial, seed=3, threads=1)
+    b = run_trials(40, trial, seed=3, threads=4)
+    assert a == b == [int(SubStream(3, t).raw(1)[0]) for t in range(40)]
+    assert set(seen) == {threading.get_ident()}
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            run_trials(5, trial, seed=3, threads=bad)
 
 
 def test_run_trials_passes_distinct_streams():

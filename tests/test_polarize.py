@@ -248,17 +248,53 @@ def test_fast_selection_boundary_leaves():
                 assert select_rows(n, s, spec) == select_rows_fast(n, s, spec), (n, s, t)
 
 
+def fraction_selection(n, s, spec):
+    """Selection read off the Fraction profile, leaf by leaf."""
+    spec = spec.resolve(n)
+    prof = rank_profile(n, s)
+    if spec.mode == "threshold":
+        return tuple(j + 1 for j in range(n) if prof[j] > spec.threshold)
+    order = sorted(range(n), key=lambda j: (-prof[j], j))
+    return tuple(sorted(j + 1 for j in order[: spec.count]))
+
+
+def test_selection_matches_fraction_reference():
+    # integer numerators over the shared denominator must order leaves as
+    # their Fractions do, ties included, and cut on leaf values as > does
+    rng = random.Random(77)
+    for n in (2, 16, 64, 256):
+        for s in (F(0), F(1), F(1, 2), F(2, 5), F(5, 7)):
+            prof = rank_profile(n, s)
+            specs = [SelectionSpec.auto()]
+            specs += [SelectionSpec.top(m) for m in sorted({1, 2, n // 3 or 1, n // 2, n - 1, n})]
+            cuts = sorted(set(prof))
+            cuts = rng.sample(cuts, min(12, len(cuts))) + [F(0), F(1)]
+            specs += [SelectionSpec.at_threshold(t) for t in cuts]
+            for spec in specs:
+                want = fraction_selection(n, s, spec)
+                assert select_rows(n, s, spec).indices == want, (n, s, spec.name())
+                assert select_rows_fast(n, s, spec).indices == want, (n, s, spec.name())
+
+
+def test_leaf_numerator_shares_the_denominator():
+    for n, s in ((1, F(2, 3)), (8, F(2, 5)), (64, F(1, 2)), (32, F(6, 9))):
+        for i in range(1, n + 1):
+            a, den = polarize._leaf_numerator(n, i, s)
+            assert den == s.denominator ** n
+            assert F(a, den) == profile_leaf(n, i, s) == rank_profile(n, s)[i - 1]
+
+
 def test_fast_selection_exact_leaf_count(monkeypatch):
     # the paper's threshold at n = 8192 sits far below float64's absolute
     # resolution; the log-domain enclosure still decides almost every leaf
     calls = []
-    leaf = polarize.profile_leaf
+    leaf = polarize._leaf_numerator
 
     def counting(n, i, s):
         calls.append(i)
         return leaf(n, i, s)
 
-    monkeypatch.setattr(polarize, "profile_leaf", counting)
+    monkeypatch.setattr(polarize, "_leaf_numerator", counting)
     for s, kept in ((F(1, 2), 1687), (F(2, 5), 1145)):
         calls.clear()
         assert len(select_rows_fast(8192, s, SelectionSpec.auto())) == kept
