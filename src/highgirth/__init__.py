@@ -79,7 +79,6 @@ from .montecarlo import RNG_ID, SubStream, TrialReport, run_trials, wilson_inter
 from .polarize import (
     RankProfile,
     SelectionSpec,
-    bhattacharyya_profile,
     bhattacharyya_sum,
     compute_profile,
     default_threshold,

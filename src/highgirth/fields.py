@@ -6,6 +6,17 @@ columns turned into Python ints (``_gf2core``); prime-field entries are
 canonical residues in [0, p); rational entries are ``fractions.Fraction``
 values.  No floating point enters any rank, kernel, or solve path.
 
+GF(p) and the rationals share one elimination loop, ``_insert``, the
+twin of ``_gf2core.insert``.  It runs on columns in elimination form,
+which each matrix caches: int64 residue arrays over GF(p), and over the
+rationals each column times the lcm of its denominators as Python ints,
+eliminated fraction-free (cross-multiply, then divide by the gcd of the
+entries).  ``rank`` and ``VectorBasis`` insert plain columns;
+``kernel`` and ``solve_full`` insert them in order with combination
+tags (``_echelon``), as ``_gf2core.echelon`` does, and read the
+canonical kernel vectors and the free-variables-zero solution off the
+tags.
+
 Index conventions: ``ColumnSet`` (and the row sets built on top of it
 elsewhere) uses 1-based indices, matching the text formats this package
 reads and writes.  The plain accessors ``entry``/``row``/``column`` are
@@ -14,6 +25,7 @@ reads and writes.  The plain accessors ``entry``/``row``/``column`` are
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -257,79 +269,23 @@ class KernelBasis:
 
 
 # ---------------------------------------------------------------------------
-# element arithmetic for the non-GF(2) backends
+# entry coercion for the non-GF(2) fields
 
 
-class _GfpArith:
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1
-
-    def canon(self, v):
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise ValueError(f"{v} is not an integer residue")
-            v = v.numerator
-        if isinstance(v, (bool, float)):
-            raise TypeError(f"bad prime-field element {v!r}")
-        return int(v) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
-
-    def neg(self, a):
-        return (-a) % self.p
+def _gfp_entry(v, p: int) -> int:
+    if isinstance(v, Fraction):
+        if v.denominator != 1:
+            raise ValueError(f"{v} is not an integer residue")
+        v = v.numerator
+    if isinstance(v, (bool, float)):
+        raise TypeError(f"bad prime-field element {v!r}")
+    return int(v) % p
 
 
-class _RationalArith:
-    zero = _ZERO
-    one = _ONE
-
-    @staticmethod
-    def canon(v):
-        if isinstance(v, float):
-            raise TypeError("pass rational entries as Fraction, int, or 'a/b' string")
-        if isinstance(v, str):
-            return Fraction(v)
-        return Fraction(v)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-
-def _arith_for(field: FieldSpec):
-    if field.kind == GFP:
-        return _GfpArith(field.p)
-    if field.kind == RATIONAL:
-        return _RationalArith()
-    raise ValueError("no element arithmetic shim for gf2; use the packed routines")
+def _rational_entry(v) -> Fraction:
+    if isinstance(v, float):
+        raise TypeError("pass rational entries as Fraction, int, or 'a/b' string")
+    return Fraction(v)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +388,12 @@ class Matrix:
                     arr[i, j] = int(v) & 1
             return cls._new(field, nrows, ncols, _pack_rows_u8(arr))
         if field.kind == GFP:
-            ar = _GfpArith(field.p)
             arr = np.empty((nrows, ncols), np.int64)
             for i, r in enumerate(rows):
                 for j, v in enumerate(r):
-                    arr[i, j] = ar.canon(v)
+                    arr[i, j] = _gfp_entry(v, field.p)
             return cls._new(field, nrows, ncols, arr)
-        canon = _RationalArith.canon
-        data = tuple(tuple(canon(v) for v in r) for r in rows)
+        data = tuple(tuple(_rational_entry(v) for v in r) for r in rows)
         return cls._new(field, nrows, ncols, data)
 
     @classmethod
@@ -483,13 +437,9 @@ class Matrix:
         for c in cols:
             if len(c) != nrows:
                 raise ValueError("ragged columns")
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
-        if not rows:
-            rows = [[] for _ in range(nrows)]
-        m = cls.from_rows(field, rows) if rows else cls.zeros(field, nrows, 0)
-        if m.ncols != len(cols) or m.nrows != nrows:
-            m = cls.zeros(field, nrows, len(cols))
-        return m
+        if not cols or not nrows:
+            return cls.zeros(field, nrows, len(cols))
+        return cls.from_rows(field, [[c[i] for c in cols] for i in range(nrows)])
 
     # -- accessors ----------------------------------------------------
 
@@ -561,13 +511,22 @@ class Matrix:
             ci = self._cache["colints"] = _row_ints(self._t_bits())
         return ci
 
-    def _column_vectors(self) -> list:
+    def _column_vectors(self) -> tuple[list, list[int]]:
+        """Columns in elimination form, with their scales (gfp, rational).
+
+        Over GF(p) each column is a read-only int64 array; over the
+        rationals it is the column times its scale, the lcm of its
+        denominators, as a list of ints.  Cached.
+        """
         cv = self._cache.get("colvecs")
         if cv is None:
             if self.field.kind == GFP:
-                cv = [tuple(int(v) for v in self._data[:, j]) for j in range(self.ncols)]
+                cols = np.ascontiguousarray(self._data.T)
+                cols.setflags(write=False)
+                cv = (list(cols), [1] * self.ncols)
             else:
-                cv = [tuple(r[j] for r in self._data) for j in range(self.ncols)]
+                scaled = [_scaled(r[j] for r in self._data) for j in range(self.ncols)]
+                cv = ([v for v, _ in scaled], [d for _, d in scaled])
             self._cache["colvecs"] = cv
         return cv
 
@@ -578,11 +537,9 @@ class Matrix:
             return NotImplemented
         if self.field != other.field or self.nrows != other.nrows or self.ncols != other.ncols:
             return False
-        if self.field.kind == GF2:
-            return bool(np.array_equal(self._data, other._data))
-        if self.field.kind == GFP:
-            return bool(np.array_equal(self._data, other._data))
-        return self._data == other._data
+        if self.field.kind == RATIONAL:
+            return self._data == other._data
+        return bool(np.array_equal(self._data, other._data))
 
     __hash__ = None
 
@@ -612,9 +569,8 @@ def vector(field: FieldSpec, values):
             out[i] = int(v) & 1
         return out
     if field.kind == GFP:
-        ar = _GfpArith(field.p)
-        return np.array([ar.canon(v) for v in vals], np.int64)
-    return [_RationalArith.canon(v) for v in vals]
+        return np.array([_gfp_entry(v, field.p) for v in vals], np.int64)
+    return [_rational_entry(v) for v in vals]
 
 
 def zero_vector(field: FieldSpec, n: int):
@@ -640,40 +596,109 @@ def negate_vector(field: FieldSpec, v):
 
 
 # ---------------------------------------------------------------------------
-# elimination over gfp / rationals (list-of-list rows, pivot normalized to 1)
+# elimination over gfp / rationals
 
 
-def _generic_echelon(rows, arith, pivot_cols: int, reduce_above: bool) -> list[int]:
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(pivot_cols):
-        if r == m:
-            break
-        p = next((i for i in range(r, m) if rows[i][c] != arith.zero), None)
-        if p is None:
+def _scaled(fractions) -> tuple[list[int], int]:
+    """Rationals times the lcm d of their denominators, as ints, and d.
+
+    Scaling a column by a nonzero integer changes neither which columns
+    are independent nor the pivots.
+    """
+    fr = list(fractions)
+    d = math.lcm(*(f.denominator for f in fr))
+    return [f.numerator * (d // f.denominator) for f in fr], d
+
+
+def _native(field: FieldSpec, values) -> tuple[object, int]:
+    """A gfp or rational vector in elimination form, and its scale."""
+    if field.kind == GFP:
+        if isinstance(values, np.ndarray) and values.dtype == np.int64:
+            return values % field.p, 1
+        return np.array([_gfp_entry(v, field.p) for v in values], np.int64), 1
+    vals = list(values)
+    if all(type(v) is int for v in vals):
+        return vals, 1
+    return _scaled(_rational_entry(v) for v in vals)
+
+
+def _lead(v, lo: int, hi: int) -> int | None:
+    """Index of the first nonzero entry of v[lo:hi], or None."""
+    if isinstance(v, np.ndarray):
+        nz = v[lo:hi].nonzero()[0]
+        return lo + int(nz[0]) if nz.size else None
+    return next((i for i in range(lo, hi) if v[i]), None)
+
+
+def _insert(basis: dict, v, floor: int, p: int | None):
+    """Reduce ``v`` against ``basis`` on its entries below ``floor``.
+
+    The gfp/rational twin of ``_gf2core.insert``, with ``basis`` keyed
+    by each vector's first nonzero entry.  Returns None when an entry
+    below ``floor`` survives, after adding the reduced vector to
+    ``basis``; otherwise returns the remainder, zero below ``floor``.
+
+    Over GF(p) (``p`` set) vectors are int64 residues, stored scaled to
+    lead with 1; every product stays below p**2 < 2**62.  Over the
+    rationals (``p`` None) they are lists of ints: the lead entry is
+    cleared by cross-multiplying and the result divided by the gcd of
+    its entries.  No vector is modified in place, so bases can share
+    stored vectors and callers' vectors.
+    """
+    j = _lead(v, 0, floor)
+    while j is not None:
+        row = basis.get(j)
+        if row is None:
+            basis[j] = v * pow(int(v[j]), p - 2, p) % p if p else v
+            return None
+        if p:
+            v = (v - v[j] * row) % p
+        else:
+            a, b = row[j], v[j]
+            v = [a * x - b * y for x, y in zip(v, row)]
+            g = math.gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+        j = _lead(v, j + 1, floor)
+    return v
+
+
+def _echelon(field: FieldSpec, columns: list, scales: list[int], nrows: int):
+    """Insert ``columns`` (elimination form, ``nrows`` entries) in order.
+
+    Column j carries a tag of len(columns) more entries holding its
+    scale at entry j, so every vector's tag is the combination of the
+    input columns that its first ``nrows`` entries equal.  A column is a
+    pivot exactly when it is independent of the columns before it, and
+    then only pivots enter the basis, so a dependent column f's tag is
+    supported on f and the pivots before it.  Scaled to 1 at f, it is
+    f's canonical kernel vector whatever the order inside elimination.
+
+    Returns (pivots, relations): the pivots ascending, and one such
+    kernel vector per other column, in order (int64 residues over
+    GF(p), lists of Fractions over the rationals).
+    """
+    k = len(columns)
+    p = field.p
+    basis: dict = {}
+    pivots, relations = [], []
+    for j, (c, d) in enumerate(zip(columns, scales)):
+        if p:
+            v = np.zeros(nrows + k, np.int64)
+            v[:nrows] = c
+        else:
+            v = list(c) + [0] * k
+        v[nrows + j] = d
+        rest = _insert(basis, v, nrows, p)
+        if rest is None:
+            pivots.append(j)
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = arith.inv(rows[r][c])
-        if inv != arith.one:
-            rows[r] = [arith.mul(inv, v) for v in rows[r]]
-        lo = 0 if reduce_above else r + 1
-        for i in range(lo, m):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f != arith.zero:
-                pr = rows[r]
-                rows[i] = [arith.sub(v, arith.mul(f, w)) for v, w in zip(rows[i], pr)]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _generic_rows(m: Matrix) -> list[list]:
-    if m.field.kind == GFP:
-        return [[int(v) for v in row] for row in m._data]
-    return [list(row) for row in m._data]
+        tag, lead = rest[nrows:], rest[nrows + j]
+        if p:
+            relations.append(tag * pow(int(lead), p - 2, p) % p)
+        else:
+            relations.append([Fraction(x, lead) if x else _ZERO for x in tag])
+    return pivots, relations
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +709,12 @@ def rank(m: Matrix) -> int:
     """Matrix rank over its own field."""
     if m.field.kind == GF2:
         return _gf2core.rank_packed(_row_ints(m._data))
-    rows = _generic_rows(m)
-    return len(_generic_echelon(rows, _arith_for(m.field), m.ncols, False))
+    basis: dict = {}
+    for v in m._column_vectors()[0]:
+        if len(basis) == m.nrows:
+            break
+        _insert(basis, v, m.nrows, m.field.p)
+    return len(basis)
 
 
 def select_columns(m: Matrix, cols) -> Matrix:
@@ -712,23 +741,18 @@ def columns_independent(m: Matrix, cols) -> bool:
 
 
 def kernel(m: Matrix) -> KernelBasis:
-    """Basis of {v : m @ v = 0}; one vector per free column."""
+    """Basis of {v : m @ v = 0}; one vector per free column.
+
+    The vector of free column f is 1 at f, 0 at the other free columns
+    and supported on the pivots before f (pivots: the columns
+    independent of the columns before them).
+    """
     n = m.ncols
     if m.field.kind == GF2:
         _, relations, _ = _gf2core.echelon(m._column_ints())
         return KernelBasis(m.field, n, tuple(_int_bits(relations, n)))
-    arith = _arith_for(m.field)
-    rows = _generic_rows(m)
-    pivots = _generic_echelon(rows, arith, n, True)
-    free = sorted(set(range(n)) - set(pivots))
-    vecs = []
-    for f in free:
-        v = zero_vector(m.field, n)
-        v[f] = arith.one
-        for r_i, c in enumerate(pivots):
-            v[c] = arith.neg(rows[r_i][f])
-        vecs.append(v)
-    return KernelBasis(m.field, n, tuple(vecs))
+    _, relations = _echelon(m.field, *m._column_vectors(), m.nrows)
+    return KernelBasis(m.field, n, tuple(relations))
 
 
 def solve_full(m: Matrix, y):
@@ -745,31 +769,17 @@ def solve_full(m: Matrix, y):
         y_int = _row_ints(_pack_vector_u8(yv)[None, :])[0]
         rk, ok, x = _gf2core.solve_packed(m._column_ints(), y_int)
         return rk, ok, (_int_bits([x], n)[0] if ok else None)
-    arith = _arith_for(m.field)
-    yv = vector(m.field, y)
+    yv, d = _native(m.field, y)
     if len(yv) != m.nrows:
         raise ValueError("rhs length does not match nrows")
-    rows = _generic_rows(m)
-    for r, b in zip(rows, yv):
-        r.append(b if m.field.kind != GFP else int(b))
-    pivots = _generic_echelon(rows, arith, n, False)
-    rk = len(pivots)
-    consistent = all(rows[i][n] == arith.zero for i in range(rk, m.nrows))
-    if not consistent:
-        return rk, False, None
-    x = zero_vector(m.field, n)
-    xs = list(x)
-    for j in range(rk - 1, -1, -1):
-        c = pivots[j]
-        acc = rows[j][n]
-        for t in range(c + 1, n):
-            coeff = rows[j][t]
-            if coeff != arith.zero and xs[t] != arith.zero:
-                acc = arith.sub(acc, arith.mul(coeff, xs[t]))
-        xs[c] = acc
-    if m.field.kind == GFP:
-        return rk, True, np.array([int(v) for v in xs], np.int64)
-    return rk, True, xs
+    # y goes in as one more column: the system is consistent exactly when
+    # y is no pivot, and then y's relation y + sum of r_j * column j = 0
+    # gives x = -r
+    vecs, scales = m._column_vectors()
+    pivots, relations = _echelon(m.field, vecs + [yv], scales + [d], m.nrows)
+    if pivots and pivots[-1] == n:
+        return len(pivots) - 1, False, None
+    return len(pivots), True, negate_vector(m.field, relations[-1][:n])
 
 
 def solve(m: Matrix, y):
@@ -856,35 +866,25 @@ class BitBasis:
 
 
 class VectorBasis:
-    """Incremental span tracker over sequences of field elements."""
+    """Incremental span tracker over GF(p) or rational vectors."""
+
+    __slots__ = ("_field", "_piv")
 
     def __init__(self, field: FieldSpec):
-        self._arith = _arith_for(field)
+        if field.kind == GF2:
+            raise ValueError("use BitBasis over gf2")
+        self._field = field
         self._piv = {}
 
     def insert(self, vec) -> bool:
         """Add a vector; True when it was independent of the span so far."""
-        ar = self._arith
-        v = list(vec)
-        while True:
-            j = next((t for t, x in enumerate(v) if x != ar.zero), None)
-            if j is None:
-                return False
-            row = self._piv.get(j)
-            if row is None:
-                inv = ar.inv(v[j])
-                if inv != ar.one:
-                    v = [ar.mul(inv, x) for x in v]
-                self._piv[j] = v
-                return True
-            f = v[j]
-            v = [ar.sub(x, ar.mul(f, w)) for x, w in zip(v, row)]
+        v, _ = _native(self._field, vec)
+        return _insert(self._piv, v, len(v), self._field.p) is None
 
     def copy(self) -> "VectorBasis":
-        """Independent tracker with the same span (stored rows are never
-        mutated, so they are shared)."""
-        other = VectorBasis.__new__(VectorBasis)
-        other._arith = self._arith
+        """Independent tracker with the same span (stored vectors are
+        never modified, so they are shared)."""
+        other = VectorBasis(self._field)
         other._piv = self._piv.copy()
         return other
 
@@ -896,7 +896,7 @@ def independence_tracker(m: Matrix):
     """Tracker plus per-column vectors for subset dependence tests."""
     if m.field.kind == GF2:
         return BitBasis, m._column_ints()
-    return (lambda: VectorBasis(m.field)), m._column_vectors()
+    return (lambda: VectorBasis(m.field)), m._column_vectors()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -964,10 +964,9 @@ def vandermonde(field: FieldSpec, m: int, nodes) -> Matrix:
     if field.kind == GF2:
         canon = [int(v) & 1 for v in vals]
     elif field.kind == GFP:
-        ar = _GfpArith(field.p)
-        canon = [ar.canon(v) for v in vals]
+        canon = [_gfp_entry(v, field.p) for v in vals]
     else:
-        canon = [_RationalArith.canon(v) for v in vals]
+        canon = [_rational_entry(v) for v in vals]
     if len(set(canon)) != len(canon):
         raise ValueError("nodes must be distinct in the field")
     rows = []

@@ -47,8 +47,6 @@ __all__ = [
     "select_rows",
     "select_rows_fast",
     "polarization_fractions",
-    "bhattacharyya_profile",
-    "bhattacharyya_profile_float",
     "bhattacharyya_sum",
     "write_profile_csv",
     "read_profile_csv",
@@ -466,19 +464,6 @@ def polarization_fractions(values, delta) -> tuple[Fraction, Fraction, Fraction]
 
 # ---------------------------------------------------------------------------
 # the same recursion read as Bhattacharyya parameters
-
-
-def bhattacharyya_profile(n: int, z0) -> tuple[Fraction, ...]:
-    """Exact reliability leaves from a base parameter z0 in [0, 1].
-
-    Identical recursion to rank_profile; kept as its own name because
-    callers sum these rather than thresholding them.
-    """
-    return rank_profile(n, z0)
-
-
-def bhattacharyya_profile_float(n: int, z0) -> np.ndarray:
-    return rank_profile_float(n, z0)
 
 
 def bhattacharyya_sum(n: int, z0, rows: ColumnSet) -> Fraction:

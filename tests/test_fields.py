@@ -435,6 +435,186 @@ def test_gf2_kernel_matches_reference():
             assert [(x >> g) & 1 for g in free] == [int(g == f) for g in free]
 
 
+# ---------------------------------------------------------------- gfp / rational engine
+# The same canonical forms over the other fields: the pivots are the columns
+# independent of the columns before them, free column f's kernel vector is 1
+# at f with support on the pivots before f, and solve_full's x is the one
+# solution supported on the pivots.  GF(p) answers come from enumerating
+# coefficient vectors, rational ones from a Fraction reduced echelon form.
+# Each matrix has at most 6 columns, often zero or repeated ones.
+
+RATIONAL_ENTRIES = (0, 1, -1, 2, Fraction(2, 3), Fraction(-5, 2), Fraction(3, 4), Fraction(-1, 3))
+
+
+def random_dense(rng, field):
+    """(nrows, columns) of a small random gfp or rational matrix."""
+    nrows = rng.randrange(1, 5)
+    ncols = rng.randrange(1, 7)
+
+    def entry():
+        return rng.randrange(field.p) if field.kind == "gfp" else rng.choice(RATIONAL_ENTRIES)
+
+    cols = []
+    for _ in range(ncols):
+        roll = rng.random()
+        if roll < 0.15:
+            cols.append([0] * nrows)
+        elif roll < 0.4 and cols:  # a multiple of an earlier column
+            c = rng.choice((2, -1, Fraction(1, 3))) if field.kind == "rational" else rng.randrange(1, field.p)
+            cols.append([c * v for v in rng.choice(cols)])
+        else:
+            cols.append([entry() for _ in range(nrows)])
+    if field.kind == "gfp":
+        cols = [[v % field.p for v in c] for c in cols]
+    return nrows, cols
+
+
+def dense_matrix(field, nrows, cols):
+    return Matrix.from_rows(field, [[c[i] for c in cols] for i in range(nrows)])
+
+
+def combination(cols, coeffs, nrows, p):
+    return tuple(sum(x * c[i] for x, c in zip(coeffs, cols)) % p for i in range(nrows))
+
+
+def gfp_reference(cols, nrows, p):
+    """Pivots, each free column's kernel vector, and the solve map, all by
+    enumerating coefficient vectors."""
+    pivots = []
+    for j, c in enumerate(cols):
+        before = [cols[i] for i in pivots]
+        span = {combination(before, x, nrows, p) for x in itertools.product(range(p), repeat=len(before))}
+        if tuple(c) not in span:
+            pivots.append(j)
+    kernel_ref = []
+    for f in (j for j in range(len(cols)) if j not in pivots):
+        earlier = [c for c in pivots if c < f]
+        hits = []
+        for x in itertools.product(range(p), repeat=len(earlier)):
+            v = [0] * len(cols)
+            v[f] = 1
+            for c, xc in zip(earlier, x):
+                v[c] = xc
+            if combination(cols, v, nrows, p) == (0,) * nrows:
+                hits.append(v)
+        assert len(hits) == 1
+        kernel_ref.append(hits[0])
+    on_pivots = {}
+    for x in itertools.product(range(p), repeat=len(pivots)):
+        v = [0] * len(cols)
+        for c, xc in zip(pivots, x):
+            v[c] = xc
+        y = combination(cols, v, nrows, p)
+        assert y not in on_pivots  # the pivot columns are independent
+        on_pivots[y] = v
+    return pivots, kernel_ref, on_pivots
+
+
+def fraction_rref(rows, ncols):
+    """Reduced row echelon form over Fractions, pivots lowest column first."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def rational_reference(cols, nrows):
+    """Pivots and each free column's kernel vector from the Fraction RREF."""
+    ncols = len(cols)
+    rref, pivots = fraction_rref([[c[i] for c in cols] for i in range(nrows)], ncols)
+    kernel_ref = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -rref[i][f]
+        kernel_ref.append(v)
+    return pivots, kernel_ref
+
+
+def rational_solve_reference(cols, nrows, y):
+    """(consistent, x): x solves with every free variable zero."""
+    ncols = len(cols)
+    rref, pivots = fraction_rref([[c[i] for c in cols] + [y[i]] for i in range(nrows)], ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return False, None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = rref[i][ncols]
+    return True, x
+
+
+def check_pivots_and_kernel(m, pivots, kernel_ref):
+    factory, vecs = independence_tracker(m)
+    tracker = factory()
+    assert [j for j in range(m.ncols) if tracker.insert(vecs[j])] == pivots
+    ker = kernel(m)
+    assert len(ker) == len(kernel_ref)
+    for v, ref in zip(ker, kernel_ref):
+        if m.field.kind == "gfp":
+            assert isinstance(v, np.ndarray) and v.dtype == np.int64
+        else:
+            assert all(isinstance(e, Fraction) for e in v)
+        assert list(v) == ref
+
+
+@pytest.mark.parametrize("field", (GF3, GF5), ids=str)
+def test_gfp_canonical_forms_match_reference(field):
+    rng = random.Random(141 + field.p)
+    p = field.p
+    for t in range(60):
+        nrows, cols = random_dense(rng, field)
+        pivots, kernel_ref, on_pivots = gfp_reference(cols, nrows, p)
+        m = dense_matrix(field, nrows, cols)
+        check_pivots_and_kernel(m, pivots, kernel_ref)
+        for u in range(2):
+            if (t + u) % 2:  # y in the column space
+                y = combination(cols, [rng.randrange(p) for _ in cols], nrows, p)
+            else:
+                y = tuple(rng.randrange(p) for _ in range(nrows))
+            rk, consistent, x = solve_full(m, list(y))
+            assert (rk, consistent) == (len(pivots), y in on_pivots)
+            if consistent:
+                assert isinstance(x, np.ndarray) and x.dtype == np.int64
+                assert x.tolist() == on_pivots[y]
+            else:
+                assert x is None
+
+
+def test_rational_canonical_forms_match_reference():
+    rng = random.Random(151)
+    for t in range(80):
+        nrows, cols = random_dense(rng, RAT)
+        pivots, kernel_ref = rational_reference(cols, nrows)
+        m = dense_matrix(RAT, nrows, cols)
+        check_pivots_and_kernel(m, pivots, kernel_ref)
+        for u in range(2):
+            if (t + u) % 2:  # y in the column space
+                coeffs = [rng.choice(RATIONAL_ENTRIES) for _ in cols]
+                y = [sum((x * c[i] for x, c in zip(coeffs, cols)), Fraction(0)) for i in range(nrows)]
+            else:
+                y = [rng.choice(RATIONAL_ENTRIES) for _ in range(nrows)]
+            consistent_ref, x_ref = rational_solve_reference(cols, nrows, y)
+            rk, consistent, x = solve_full(m, y)
+            assert (rk, consistent) == (len(pivots), consistent_ref)
+            if consistent:
+                assert all(isinstance(e, Fraction) for e in x)
+                assert x == x_ref
+            else:
+                assert x is None
+
+
 def test_gf2_vector_from_integer_arrays():
     rng = np.random.default_rng(5)
     arrays = [

@@ -12,7 +12,6 @@ import pytest
 from highgirth import (
     ColumnSet,
     SelectionSpec,
-    bhattacharyya_profile,
     bhattacharyya_sum,
     compute_profile,
     default_threshold,
@@ -29,7 +28,6 @@ from highgirth import (
 from highgirth import polarize
 from highgirth.polarize import (
     _tail_enclosure,
-    bhattacharyya_profile_float,
     read_profile_csv,
     write_profile_csv,
 )
@@ -360,14 +358,6 @@ def test_leaf_sum_frozen():
     assert bhattacharyya_sum(4, F(1, 2), ColumnSet.of([1, 2])) == F(1, 2)
     assert bhattacharyya_sum(4, F(1, 2), ColumnSet.empty()) == 2
     assert bhattacharyya_sum(4, F(1, 2), ColumnSet.full(4)) == 0
-
-
-def test_bhattacharyya_profile_is_rank_profile():
-    # same recursion, applied to a channel parameter instead of a rate
-    z = F(2, 5)
-    assert bhattacharyya_profile(8, z) == rank_profile(8, z)
-    f = bhattacharyya_profile_float(8, z)
-    assert np.allclose(f, [float(v) for v in rank_profile(8, z)])
 
 
 # ---------------------------------------------------------------- csv io

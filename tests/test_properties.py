@@ -23,7 +23,14 @@ from highgirth import (
 from highgirth.cli import main
 from highgirth.fields import vectors_equal, zero_vector
 
-FIELDS = (FieldSpec.gf2(), FieldSpec.gfp(3), FieldSpec.gfp(5), FieldSpec.rational())
+# 2**31 - 1 is the largest modulus FieldSpec accepts; its products guard int64 overflow
+FIELDS = (
+    FieldSpec.gf2(),
+    FieldSpec.gfp(3),
+    FieldSpec.gfp(5),
+    FieldSpec.gfp(2147483647),
+    FieldSpec.rational(),
+)
 
 
 def entries(field):
@@ -36,11 +43,11 @@ def entries(field):
 def matrices(draw):
     field = draw(st.sampled_from(FIELDS))
     nrows = draw(st.integers(0, 5))
-    ncols = draw(st.integers(1, 7))
+    ncols = draw(st.integers(0, 7))
     rows = draw(st.lists(st.lists(entries(field), min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
     m = Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, ncols)
     x = draw(st.lists(entries(field), min_size=ncols, max_size=ncols))
-    cols = draw(st.sets(st.integers(1, ncols)))
+    cols = draw(st.sets(st.integers(1, ncols)) if ncols else st.just(set()))
     return m, x, cols
 
 
