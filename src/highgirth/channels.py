@@ -78,17 +78,17 @@ def bhattacharyya_bsc(p) -> float:
     return 2.0 * math.sqrt(float(pf) * float(1 - pf))
 
 
-def bhattacharyya_upper(p, scale_bits: int = 64) -> Fraction:
+def bhattacharyya_upper(p) -> Fraction:
     """Smallest convenient rational q >= 2*sqrt(p*(1-p)), clamped to 1.
 
     With z**2 = 4*p*(1-p) = a/b, sqrt(a/b) = sqrt(a*b*S**2) / (b*S) for
-    any scale S; rounding the integer square root up gives a certified
-    upper bound within 1/(b*S) of the true value.
+    any scale S; rounding the integer square root up at S = 2**64 gives
+    a certified upper bound within 1/(b*2**64) of the true value.
     """
     pf = parse_probability(p, "p")
     z2 = 4 * pf * (1 - pf)
     a, b = z2.numerator, z2.denominator
-    s = 1 << scale_bits
+    s = 1 << 64
     root = math.isqrt(a * b * s * s)
     if root * root < a * b * s * s:
         root += 1

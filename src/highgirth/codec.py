@@ -1,9 +1,11 @@
 """Linear codes from check matrices: encoding, decoding, and error bounds.
 
-The erasure decoder solves for the erased coordinates from the syndrome;
-it fails exactly when the check-matrix columns at the erased positions
-are linearly dependent, and the simulator verifies that equivalence on
-every trial through a separately computed rank oracle.
+One erasure decoder serves every field: it solves for the erased
+coordinates from the syndrome with ``fields._solve_columns``, on the
+check matrix's cached columns.  It fails exactly when the check-matrix
+columns at the erased positions are linearly dependent, and the
+simulator verifies that equivalence on every trial through a separately
+computed rank oracle.
 
 The crossing-channel side is exact where it can be: the weight
 enumerator is computed by full codeword enumeration (budgeted), the
@@ -19,7 +21,6 @@ from math import comb
 
 import numpy as np
 
-from . import _gf2core
 from .channels import ChannelOutput, bhattacharyya_upper, bsc_transmit, mec_transmit
 from .fields import (
     GF2,
@@ -30,13 +31,14 @@ from .fields import (
     Matrix,
     _as_column_set,
     _pack_rows_u8,
+    _solve_columns,
     columns_independent,
     kernel,
     matvec,
     negate_vector,
     parse_probability,
-    select_columns,
-    solve_full,
+    select_columns,  # noqa: F401 - perfbench/layers.py wraps it here
+    solve_full,  # noqa: F401 - perfbench/layers.py wraps it here
     vector,
     vectors_equal,
     zero_vector,
@@ -161,51 +163,27 @@ class DecodeResult:
     erased: ColumnSet
 
 
-def _mec_decode_gf2(code: LinearCode, y0, erased: ColumnSet) -> DecodeResult:
-    # everything runs on the check matrix's cached column ints, so a trial
-    # builds no matrix: the syndrome XORs the columns at the word's ones
-    # (erased slots included, so it equals matvec for any input)
-    filled = vector(code.field, y0)
-    if filled.shape[0] != code.n:
-        raise ValueError("vector length does not match ncols")
-    erased = _as_column_set(erased, code.n, "erased")
-    cols = code.pcm._column_ints()
-    syn = 0
-    for j in np.flatnonzero(filled).tolist():
-        syn ^= cols[j]
-    rk, consistent, x = _gf2core.solve_packed([cols[i - 1] for i in erased], syn)
-    if not consistent:
-        return DecodeResult("inconsistent", None, erased)
-    if rk < len(erased):
-        return DecodeResult("ambiguous", None, erased)
-    filled[list(erased.zero_based())] = _int_to_vec(x, len(erased))
-    return DecodeResult("decoded", filled, erased)
-
-
 def mec_decode(code: LinearCode, output: ChannelOutput) -> DecodeResult:
-    """Fill erased coordinates by solving the syndrome equations."""
-    erased = output.flagged
-    y0 = output.symbols
-    if code.field.kind == GF2:
-        return _mec_decode_gf2(code, y0, erased)
-    syn = matvec(code.pcm, y0)
-    if len(erased) == 0:
-        ok = all(v == 0 for v in (syn.tolist() if isinstance(syn, np.ndarray) else syn))
-        return DecodeResult("decoded" if ok else "inconsistent", y0 if ok else None, erased)
-    sub = select_columns(code.pcm, erased)
-    # checks read the erased slots as 0, so the residual syndrome equals
-    # the sub-matrix applied to the negated missing values
-    rk, consistent, x = solve_full(sub, negate_vector(code.field, syn))
+    """Fill erased coordinates by solving the syndrome equations.
+
+    Solves H_E @ x = -H @ y on the check matrix's cached columns at the
+    erased positions E, so a trial builds no sub-matrix.  The syndrome
+    reads the erased slots too; the channel leaves them 0, and then
+    y + x on E is the sent codeword.
+    """
+    filled = vector(code.field, output.symbols)
+    erased = _as_column_set(output.flagged, code.n, "erased")
+    idx = list(erased.zero_based())
+    syn = negate_vector(code.field, matvec(code.pcm, filled))
+    rk, consistent, x = _solve_columns(code.pcm, idx, syn)
     if not consistent:
         return DecodeResult("inconsistent", None, erased)
-    if rk < len(erased):
+    if rk < len(idx):
         return DecodeResult("ambiguous", None, erased)
-    if code.field.kind == GFP:
-        filled = np.asarray(y0, np.int64).copy()
-        filled[list(erased.zero_based())] = x
+    if isinstance(filled, np.ndarray):
+        filled[idx] = x
     else:
-        filled = list(y0)
-        for pos, val in zip(erased.zero_based(), x):
+        for pos, val in zip(idx, x):
             filled[pos] = val
     return DecodeResult("decoded", filled, erased)
 

@@ -217,16 +217,14 @@ def check_matrix(
     s,
     selection: SelectionSpec,
     field: FieldSpec = FieldSpec.gf2(),
-    verify: bool | None = None,
 ) -> CheckMatrix:
     """Build the check matrix for sampling rate s under a selection rule.
 
     Exact selection up to n=256; beyond that select_rows_fast decides
     each leaf from a certified log-domain enclosure of its small tail and
     recomputes exactly only the leaves whose enclosure meets the cut, so
-    the choice of path never changes the answer.  ``verify`` forces or
-    skips the full-rank recheck; by default it runs for n up to 1024 over
-    gf2, 256 elsewhere.
+    the choice of path never changes the answer.  The full-rank recheck
+    runs for n up to 1024 over gf2, 256 elsewhere.
     """
     sf = parse_probability(s, "s")
     if n <= EXACT_SELECTION_CAP:
@@ -234,8 +232,7 @@ def check_matrix(
     else:
         picked = select_rows_fast(n, sf, selection)
     m = _rows_matrix(n, picked, field)
-    if verify is None:
-        verify = n <= (RANK_VERIFY_CAP if field.kind == GF2 else EXACT_SELECTION_CAP)
+    verify = n <= (RANK_VERIFY_CAP if field.kind == GF2 else EXACT_SELECTION_CAP)
     if verify and rank(m) != len(picked):
         raise AssertionError("selected rows lost rank; construction is broken")
     return CheckMatrix(n, sf, selection.resolve(n), picked, m)
@@ -273,19 +270,17 @@ def _subset_increments(n: int, s: Fraction, field: FieldSpec) -> tuple[Fraction,
     return tuple(totals)
 
 
-def exhaustive_rank_profile(
-    n: int, s, field: FieldSpec = FieldSpec.gf2(), max_n: int = 1 << 12
-) -> tuple[Fraction, ...]:
+def exhaustive_rank_profile(n: int, s, field: FieldSpec = FieldSpec.gf2()) -> tuple[Fraction, ...]:
     """Profile by brute force over all 2**n column subsets.
 
     For each subset S of columns, insert the transform rows restricted
     to S top to bottom into an incremental basis; row i contributes
     P(S) to leaf i when it lands outside the span of rows 1..i-1.
     Matches rank_profile exactly over every field; exponential, so n is
-    capped hard.
+    capped hard at 12.
     """
     _require_pow2(n)
-    if n > 12 or (1 << n) > max_n:
+    if n > 12:
         raise EnumerationBudget(f"2**{n} subsets exceed the enumeration budget")
     sf = parse_probability(s, "s")
     return _subset_increments(n, sf, field)

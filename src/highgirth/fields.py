@@ -12,10 +12,17 @@ which each matrix caches: int64 residue arrays over GF(p), and over the
 rationals each column times the lcm of its denominators as Python ints,
 eliminated fraction-free (cross-multiply, then divide by the gcd of the
 entries).  ``rank`` and ``VectorBasis`` insert plain columns;
-``kernel`` and ``solve_full`` insert them in order with combination
+``kernel`` and the subset solve insert them in order with combination
 tags (``_echelon``), as ``_gf2core.echelon`` does, and read the
 canonical kernel vectors and the free-variables-zero solution off the
 tags.
+
+Every solve is one subset solve, ``_solve_columns``: it solves on
+chosen columns of a matrix, read from the matrix's cached column form
+(Python ints over GF(2), elimination form otherwise), so no caller
+builds a sub-matrix.  ``solve_full`` is the subset of all columns; the
+erasure decoder and minimum-support recovery pass their own subsets.
+GF(2) ``matvec`` reads the same cached column ints.
 
 Index conventions: ``ColumnSet`` (and the row sets built on top of it
 elsewhere) uses 1-based indices, matching the text formats this package
@@ -316,10 +323,6 @@ def _unpack_bits(bits: np.ndarray, ncols: int) -> np.ndarray:
     return np.unpackbits(by, axis=1, bitorder="little")[:, :ncols]
 
 
-def _pack_vector_u8(x: np.ndarray) -> np.ndarray:
-    return _pack_rows_u8(x.reshape(1, -1))[0]
-
-
 def _row_ints(bits: np.ndarray) -> list[int]:
     """Packed rows as Python ints, bit j = column j."""
     m, nw = bits.shape
@@ -560,6 +563,8 @@ def vector(field: FieldSpec, values):
         and values.dtype.kind in "biu"
     ):
         return (values & 1).astype(np.uint8)
+    if field.kind == GFP and isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values % field.p
     vals = list(values)
     if field.kind == GF2:
         out = np.empty(len(vals), np.uint8)
@@ -613,9 +618,7 @@ def _scaled(fractions) -> tuple[list[int], int]:
 def _native(field: FieldSpec, values) -> tuple[object, int]:
     """A gfp or rational vector in elimination form, and its scale."""
     if field.kind == GFP:
-        if isinstance(values, np.ndarray) and values.dtype == np.int64:
-            return values % field.p, 1
-        return np.array([_gfp_entry(v, field.p) for v in values], np.int64), 1
+        return vector(field, values), 1
     vals = list(values)
     if all(type(v) is int for v in vals):
         return vals, 1
@@ -755,31 +758,46 @@ def kernel(m: Matrix) -> KernelBasis:
     return KernelBasis(m.field, n, tuple(relations))
 
 
+def _solve_columns(m: Matrix, idx, y):
+    """Solve sum of x[i] * column idx[i] of m = y, free variables zero.
+
+    ``idx`` holds 0-based column indices.  The columns are read from m's
+    cache (``_column_ints`` over GF(2), ``_column_vectors`` otherwise),
+    so no sub-matrix is built.  Returns (rank, consistent, x) with x of
+    length len(idx), or None when the system is inconsistent.
+    """
+    idx = list(idx)
+    k = len(idx)
+    if m.field.kind == GF2:
+        yv = vector(m.field, y)
+        if yv.shape[0] != m.nrows:
+            raise ValueError("rhs length does not match nrows")
+        y_int = int.from_bytes(np.packbits(yv, bitorder="little").tobytes(), "little")
+        cols = m._column_ints()
+        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], y_int)
+        return rk, ok, (_int_bits([x], k)[0] if ok else None)
+    yv, d = _native(m.field, y)
+    if len(yv) != m.nrows:
+        raise ValueError("rhs length does not match nrows")
+    # y goes in as one more column: the system is consistent exactly when
+    # y is no pivot, and then y's relation y + sum of r_i * column idx[i] = 0
+    # gives x = -r
+    vecs, scales = m._column_vectors()
+    pivots, relations = _echelon(
+        m.field, [vecs[j] for j in idx] + [yv], [scales[j] for j in idx] + [d], m.nrows
+    )
+    if pivots and pivots[-1] == k:
+        return len(pivots) - 1, False, None
+    return len(pivots), True, negate_vector(m.field, relations[-1][:k])
+
+
 def solve_full(m: Matrix, y):
     """Solve m @ x = y with free variables set to zero.
 
     Returns (rank, consistent, x) where x is None when inconsistent.
     The solution is unique exactly when consistent and rank == ncols.
     """
-    n = m.ncols
-    if m.field.kind == GF2:
-        yv = np.asarray(vector(m.field, y), np.uint8)
-        if yv.shape[0] != m.nrows:
-            raise ValueError("rhs length does not match nrows")
-        y_int = _row_ints(_pack_vector_u8(yv)[None, :])[0]
-        rk, ok, x = _gf2core.solve_packed(m._column_ints(), y_int)
-        return rk, ok, (_int_bits([x], n)[0] if ok else None)
-    yv, d = _native(m.field, y)
-    if len(yv) != m.nrows:
-        raise ValueError("rhs length does not match nrows")
-    # y goes in as one more column: the system is consistent exactly when
-    # y is no pivot, and then y's relation y + sum of r_j * column j = 0
-    # gives x = -r
-    vecs, scales = m._column_vectors()
-    pivots, relations = _echelon(m.field, vecs + [yv], scales + [d], m.nrows)
-    if pivots and pivots[-1] == n:
-        return len(pivots) - 1, False, None
-    return len(pivots), True, negate_vector(m.field, relations[-1][:n])
+    return _solve_columns(m, range(m.ncols), y)
 
 
 def solve(m: Matrix, y):
@@ -791,18 +809,15 @@ def solve(m: Matrix, y):
 def matvec(m: Matrix, x):
     """Matrix-vector product over the matrix field."""
     if m.field.kind == GF2:
-        xv = np.asarray(vector(m.field, x), np.uint8)
+        xv = vector(m.field, x)
         if xv.shape[0] != m.ncols:
             raise ValueError("vector length does not match ncols")
-        xb = _pack_vector_u8(xv)
-        if m.nrows == 0:
-            return np.zeros(0, np.uint8)
-        acc = m._data & xb[None, :]
-        if hasattr(np, "bitwise_count"):
-            pops = np.bitwise_count(acc).sum(axis=1)
-        else:  # pragma: no cover - numpy < 2.0
-            pops = np.unpackbits(acc.view(np.uint8), axis=1).sum(axis=1)
-        return (pops & 1).astype(np.uint8)
+        # the sum of the cached columns at x's ones
+        cols = m._column_ints()
+        acc = 0
+        for j in np.flatnonzero(xv).tolist():
+            acc ^= cols[j]
+        return _int_bits([acc], m.nrows)[0]
     if m.field.kind == GFP:
         xv = np.asarray(vector(m.field, x), np.int64)
         if xv.shape[0] != m.ncols:

@@ -22,11 +22,10 @@ from .fields import (
     EnumerationBudget,
     FieldSpec,
     Matrix,
+    _solve_columns,
     columns_independent,
     matvec,
     parse_probability,
-    select_columns,
-    solve_full,
     vector,
     zero_vector,
     first_dependent_subset,
@@ -275,7 +274,7 @@ def l0_recover(a: Matrix, y, k_max: int, budget: int = 1 << 22) -> L0Result:
                 return L0Result("budget", None, (), tested)
             tested += 1
             cs = ColumnSet(sub)
-            rk, consistent, x = solve_full(select_columns(a, cs), yv)
+            rk, consistent, x = _solve_columns(a, cs.zero_based(), yv)
             if consistent:
                 hits.append((cs, x, rk))
                 if len(hits) > 1:

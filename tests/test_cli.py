@@ -1,13 +1,17 @@
 """End-to-end runs of the command line interface in a subprocess."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from highgirth import FieldSpec, Matrix, vandermonde, write_matrix
+from highgirth.cli import build_parser
 from highgirth.polarize import read_profile_csv
 
 F = Fraction
@@ -302,3 +306,15 @@ def test_bad_matrix_entry(tmp_path, field, entry):
 def test_l0_negative_kmax(pcm16):
     res = run_cli("analyze", "l0", "--matrix", pcm16, "--y=" + ",".join(["0"] * 12), "--kmax", "-1")
     assert_usage_error(res)
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("highgirth ")]
+    assert len(lines) >= 10
+    for ln in lines:
+        try:
+            build_parser().parse_args(shlex.split(ln, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {ln}")

@@ -35,7 +35,7 @@ from highgirth import (
 )
 from highgirth.channels import ChannelOutput
 from highgirth.codec import render_report
-from highgirth.fields import vector, vectors_equal
+from highgirth.fields import negate_vector, vector, vectors_equal
 from highgirth.montecarlo import SubStream
 
 F = Fraction
@@ -171,57 +171,94 @@ def test_mec_decode_generic_field():
 
 def reference_mec_decode(code, y, erased):
     """Decode by materialising the erased columns as their own matrix."""
-    rk, ok, x = solve_full(select_columns(code.pcm, erased), matvec(code.pcm, y))
+    syn = negate_vector(code.field, matvec(code.pcm, y))
+    rk, ok, x = solve_full(select_columns(code.pcm, erased), syn)
     if not ok:
         return "inconsistent", None
     if rk < len(erased):
         return "ambiguous", None
-    filled = np.asarray(y, np.uint8).copy()
-    filled[list(erased.zero_based())] = x
+    filled = vector(code.field, y)
+    for pos, val in zip(erased.zero_based(), x):
+        filled[pos] = val
     return "decoded", filled
 
 
-def test_mec_decode_gf2_matches_sub_matrix_solve():
+def random_symbol(rng, field):
+    if field.kind == "gf2":
+        return rng.randrange(2)
+    if field.kind == "gfp":
+        return rng.randrange(field.p)
+    return F(rng.randrange(-3, 4), rng.randrange(1, 4))
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec.gfp(3), GF5, RAT], ids=str)
+def test_mec_decode_matches_sub_matrix_solve(field):
     rng = random.Random(17)
-    for n, m in ((64, 32), (256, 128)):
-        code = code_from_pcm(check_matrix(n, F(1, 2), SelectionSpec.top(m)).matrix)
+    sizes = ((64, 32), (256, 128)) if field == GF2 else ((16, 8), (64, 32))
+    for n, m in sizes:
+        code = code_from_pcm(check_matrix(n, F(1, 2), SelectionSpec.top(m), field).matrix)
         seen = set()
         for t in range(120):
-            cw = encode(code, [rng.randrange(2) for _ in range(code.k)])
+            cw = encode(code, [random_symbol(rng, field) for _ in range(code.k)])
             size = rng.choice((0, 1, m // 4, m // 2, m - 4, m, m + 8))
             erased = ColumnSet.of(rng.sample(range(1, n + 1), size))
             if t % 3 == 0:  # a word that is not a codeword
-                y = np.array([rng.randrange(2) for _ in range(n)], np.uint8)
+                y = vector(field, [random_symbol(rng, field) for _ in range(n)])
             else:
-                y = np.array(cw, np.uint8)
+                y = vector(field, cw)
                 if t % 3 == 1:  # erased slots zeroed, as the channel does
-                    y[list(erased.zero_based())] = 0
-                # else: the erased slots keep nonzero symbols
+                    for i in erased.zero_based():
+                        y[i] = 0
+                # else: the erased slots keep their symbols
             want, filled = reference_mec_decode(code, y, erased)
-            res = mec_decode(code, ChannelOutput(GF2, y, erased))
+            res = mec_decode(code, ChannelOutput(field, y, erased))
             assert res.status == want, (n, t)
             assert res.erased == erased
             if want == "decoded":
-                assert res.codeword.dtype == np.uint8
-                assert np.array_equal(res.codeword, filled)
+                assert type(res.codeword) is type(filled)
+                if isinstance(filled, np.ndarray):
+                    assert res.codeword.dtype == filled.dtype
+                else:
+                    assert all(type(v) is F for v in res.codeword)
+                assert vectors_equal(res.codeword, filled)
             else:
                 assert res.codeword is None
             seen.add(want)
         assert seen == {"decoded", "ambiguous", "inconsistent"}, n
 
 
-def test_mec_decode_gf2_input_checks():
-    code = code_from_pcm(Matrix.from_rows(GF2, HAMMING_7_4))
-    with pytest.raises(ValueError):
-        mec_decode(code, ChannelOutput(GF2, np.zeros(6, np.uint8), ColumnSet.of([1])))
-    with pytest.raises(ValueError):
-        mec_decode(code, ChannelOutput(GF2, np.zeros(7, np.uint8), ColumnSet.of([8])))
-    with pytest.raises(TypeError):
-        mec_decode(code, ChannelOutput(GF2, np.zeros(7), ColumnSet.of([1])))
+def test_mec_decode_input_checks():
+    for field in (GF2, GF5, RAT):
+        code = code_from_pcm(Matrix.from_rows(field, HAMMING_7_4))
+        with pytest.raises(ValueError):
+            mec_decode(code, ChannelOutput(field, np.zeros(6, np.uint8), ColumnSet.of([1])))
+        with pytest.raises(ValueError):
+            mec_decode(code, ChannelOutput(field, np.zeros(7, np.uint8), ColumnSet.of([8])))
+        with pytest.raises(TypeError):
+            mec_decode(code, ChannelOutput(field, np.zeros(7), ColumnSet.of([1])))
     # list input, odd symbols read mod 2 as matvec reads them
+    code = code_from_pcm(Matrix.from_rows(GF2, HAMMING_7_4))
     res = mec_decode(code, ChannelOutput(GF2, [3, 0, 1, 0, 1, 0, 1], ColumnSet.of([2])))
     assert res.status == "decoded"
     assert res.codeword.tolist() == [1, 0, 1, 0, 1, 0, 1]
+    # over GF(5) list symbols are read mod 5
+    code = code_from_pcm(Matrix.from_rows(GF5, HAMMING_7_4))
+    cw = encode(code, [1, 2, 3, 4])
+    word = [int(v) + 5 for v in cw]
+    word[0] = 0
+    res = mec_decode(code, ChannelOutput(GF5, word, ColumnSet.of([1])))
+    assert res.status == "decoded"
+    assert res.codeword.dtype == np.int64
+    assert res.codeword.tolist() == cw.tolist()
+    # over the rationals int symbols come back as Fractions
+    code = code_from_pcm(Matrix.from_rows(RAT, HAMMING_7_4))
+    cw = encode(code, [F(1), F(-2), F(1, 3), F(0)])
+    word = [int(v) if v.denominator == 1 else v for v in cw]
+    word[6] = 0
+    res = mec_decode(code, ChannelOutput(RAT, word, ColumnSet.of([7])))
+    assert res.status == "decoded"
+    assert all(type(v) is F for v in res.codeword)
+    assert res.codeword == cw
 
 
 def test_mec_error_rate_identity():

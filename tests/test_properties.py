@@ -80,6 +80,31 @@ def test_solve_reproduces_image(case):
     assert vectors_equal(matvec(m, found), y)
 
 
+def assert_matvec_is_row_products(m, x):
+    """matvec against m @ x summed entry by entry from to_rows()."""
+    sums = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in m.to_rows()]
+    got = matvec(m, x)
+    if m.field.kind == "rational":
+        assert got == sums
+    else:
+        assert got.dtype == ("uint8" if m.field.kind == "gf2" else "int64")
+        assert got.tolist() == [int(v) % m.field.order for v in sums]
+
+
+@ALGEBRA
+@given(matrices())
+def test_matvec_matches_row_products(case):
+    m, x, _ = case
+    assert_matvec_is_row_products(m, x)
+
+
+def test_matvec_on_empty_shapes():
+    # the strategy draws these shapes rarely, and not for every field
+    for field in FIELDS:
+        for nrows, ncols in ((0, 0), (0, 3), (3, 0)):
+            assert_matvec_is_row_products(Matrix.zeros(field, nrows, ncols), [1] * ncols)
+
+
 @ALGEBRA
 @given(matrices())
 def test_columns_independent_is_full_column_rank(case):

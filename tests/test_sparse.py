@@ -171,15 +171,22 @@ def test_l0_recovery_unique():
     assert res.signal.values == planted.values
 
 
-def test_l0_recovery_all_supports_exhaustive():
-    a = vandermonde(RAT, 4, [1, 2, 3, 4, 5, 6])
-    for i in range(1, 7):
-        for j in range(i + 1, 7):
-            planted = SparseSignal(RAT, 6, ColumnSet.of([i, j]), (F(1), F(-1)))
+@pytest.mark.parametrize(
+    "field, nodes, values",
+    [(RAT, [1, 2, 3, 4, 5, 6], (F(1), F(-1))), (GF5, [0, 1, 2, 3, 4], (1, 4))],
+    ids=["rational", "gfp:5"],
+)
+def test_l0_recovery_all_supports_exhaustive(field, nodes, values):
+    n = len(nodes)
+    a = vandermonde(field, 4, nodes)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            planted = SparseSignal(field, n, ColumnSet.of([i, j]), values)
             y = measure(a, planted)
             res = l0_recover(a, y, 2)
             assert res.status == "unique", (i, j)
             assert res.signal.support.indices == (i, j)
+            assert list(res.signal.values) == list(values)
 
 
 def test_l0_not_unique():
