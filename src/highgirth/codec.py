@@ -4,8 +4,11 @@ One erasure decoder serves every field: it solves for the erased
 coordinates from the syndrome with ``fields._solve_columns``, on the
 check matrix's cached columns.  It fails exactly when the check-matrix
 columns at the erased positions are linearly dependent, and the
-simulator verifies that equivalence on every trial through a separately
-computed rank oracle.
+simulator verifies that equivalence on every trial through a separate
+oracle, ``fields.columns_independent``.  On a check matrix made of
+transform rows the oracle answers from a successive-cancellation
+certificate and eliminates only the erasure sets that leaves open, so
+it shares no step with the decoder's solve.
 
 The crossing-channel side is exact where it can be: the weight
 enumerator is computed by full codeword enumeration (budgeted), the
@@ -30,6 +33,7 @@ from .fields import (
     FieldSpec,
     Matrix,
     _as_column_set,
+    _bits_int,
     _pack_rows_u8,
     _solve_columns,
     columns_independent,
@@ -91,7 +95,7 @@ class LinearCode:
 
 
 def _vec_to_int(v: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(np.asarray(v, np.uint8), bitorder="little").tobytes(), "little")
+    return _bits_int(np.asarray(v, np.uint8))
 
 
 def _int_to_vec(c: int, n: int) -> np.ndarray:
@@ -107,6 +111,9 @@ def code_from_pcm(pcm: Matrix) -> LinearCode:
         gen = Matrix.zeros(pcm.field, 0, pcm.ncols)
     elif pcm.field.kind == GF2:
         gen = Matrix.from_packed_gf2(_pack_rows_u8(np.array(ker.vectors, np.uint8)), pcm.ncols)
+    elif pcm.field.kind == GFP:
+        # the kernel vectors are already residues in [0, p)
+        gen = Matrix._new(pcm.field, k, pcm.ncols, np.array(ker.vectors, np.int64))
     else:
         gen = Matrix.from_rows(pcm.field, [list(v) for v in ker.vectors])
     gi = None
@@ -218,9 +225,12 @@ def mec_error_rate(
     """Monte Carlo erasure-decoding failure rate with a built-in oracle.
 
     Each trial draws a message, encodes, erases, decodes, and also asks
-    the independent rank oracle whether the erased columns of the check
-    matrix are dependent.  The two verdicts must agree trial by trial;
-    disagreements are counted and reported (and indicate a bug).
+    the oracle ``columns_independent`` whether the erased columns of the
+    check matrix are dependent: a successive-cancellation certificate on
+    a matrix of transform rows, with elimination for the sets it leaves
+    open, apart from the decoder's solve.  The two verdicts must agree
+    trial by trial; disagreements are counted and reported (and indicate
+    a bug).
 
     Per trial the substream is consumed in a fixed order: message first,
     then the erasure pattern.  Over the rationals the zero codeword is

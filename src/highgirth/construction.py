@@ -31,6 +31,7 @@ from .fields import (
     FieldSpec,
     Matrix,
     VectorBasis,
+    _bits_int,
     _pack_rows_u8,
     independence_tracker,
     parse_probability,
@@ -246,10 +247,7 @@ def _subset_increments(n: int, s: Fraction, field: FieldSpec) -> tuple[Fraction,
     # sum over all 2**n column subsets S of weight(S) * [row i independent
     # of rows 1..i-1 once both are restricted to S]
     rows_bits = [sierpinski_row(n, i) for i in range(n)]
-    rows_int = [
-        int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little")
-        for b in rows_bits
-    ]
+    rows_int = [_bits_int(b) for b in rows_bits]
     totals = [Fraction(0)] * n
     for mask in range(1 << n):
         k = mask.bit_count()

@@ -22,7 +22,16 @@ chosen columns of a matrix, read from the matrix's cached column form
 (Python ints over GF(2), elimination form otherwise), so no caller
 builds a sub-matrix.  ``solve_full`` is the subset of all columns; the
 erasure decoder and minimum-support recovery pass their own subsets.
-GF(2) ``matvec`` reads the same cached column ints.
+GF(2) ``matvec`` reads the same cached column ints, and rational
+``matvec`` the cached scaled columns.
+
+``columns_independent`` first tries a certificate.  A matrix whose rows
+are rows of the n x n transform (1 at (i, j) when i & ~j == 0), as every
+check matrix is, is recognized from its entries (``Matrix._frozen_rows``);
+its kernel is the polar code with those rows frozen.  When successive-
+cancellation erasure decoding of that code succeeds on the selected
+columns (``_sc_leaves``, flags only, the same over every field), they
+are independent; elimination decides every other case.
 
 Index conventions: ``ColumnSet`` (and the row sets built on top of it
 elsewhere) uses 1-based indices, matching the text formats this package
@@ -31,6 +40,7 @@ reads and writes.  The plain accessors ``entry``/``row``/``column`` are
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -331,6 +341,11 @@ def _row_ints(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[i * step : (i + 1) * step], "little") for i in range(m)]
 
 
+def _bits_int(bits: np.ndarray) -> int:
+    """A 0/1 vector as an int, bit j = entry j."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def _int_bits(ints, ncols: int) -> np.ndarray:
     """Inverse of _row_ints; returns a (len(ints), ncols) uint8 array."""
     nbytes = (ncols + 7) >> 3
@@ -533,6 +548,42 @@ class Matrix:
             self._cache["colvecs"] = cv
         return cv
 
+    def _frozen_rows(self) -> int | None:
+        """The transform rows this matrix is made of, as a mask, or None.
+
+        Bit i of the mask is set when some row is transform row i: 1 at
+        the columns j with i & ~j == 0 and 0 elsewhere, so i is its first
+        nonzero column.  None unless ncols is a power of two and every
+        row is such a row.  Read from the entries, never assumed.  Cached.
+        """
+        if "frozen" in self._cache:
+            return self._cache["frozen"]
+        n, frozen = self.ncols, None
+        if n and not n & (n - 1):
+            if self.field.kind == GF2:
+                ones = _row_ints(self._data)
+            else:
+                d = self._data
+                if self.field.kind == RATIONAL:
+                    d = np.array(d, dtype=object).reshape(self.nrows, n)
+                one = d == 1
+                # an entry outside {0, 1}: stand in a zero row, which matches no transform row
+                ones = _row_ints(_pack_rows_u8(one)) if (one | (d == 0)).all() else [0]
+            frozen = 0
+            for r in ones:
+                i = (r & -r).bit_length() - 1
+                # the columns j with i & ~j == 0: outside the h-clear mask of each bit h of i
+                row = (1 << n) - 1
+                for h, lo in _sc_masks(n):
+                    if i & h:
+                        row &= ~lo
+                if not r or r != row:
+                    frozen = None
+                    break
+                frozen |= 1 << i
+        self._cache["frozen"] = frozen
+        return frozen
+
     # -- dunder -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -705,6 +756,42 @@ def _echelon(field: FieldSpec, columns: list, scales: list[int], nrows: int):
 
 
 # ---------------------------------------------------------------------------
+# successive-cancellation certificate for matrices of transform rows
+
+
+@functools.lru_cache(maxsize=16)
+def _sc_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """(h, the bits j of an n-bit int with j & h == 0) for h = n/2, ..., 1."""
+    full = (1 << n) - 1
+    return tuple(
+        (h, full // ((1 << 2 * h) - 1) * ((1 << h) - 1))
+        for h in (n >> k for k in range(1, n.bit_length()))
+    )
+
+
+def _sc_leaves(f, n: int):
+    """Erasure flags of the n leaves of successive-cancellation decoding.
+
+    ``f`` flags erased coordinates of x (bit j = coordinate j), and u =
+    T x with T the n x n transform, T[i, j] = 1 when i & ~j == 0.  Split
+    x by the index bit h into a (bit clear) and b (bit set): u's half
+    with bit h clear is the transform of a + b, erased where a or b is;
+    once that half is known, so is a + b, and u's other half is the
+    transform of b, known where b is or a is (any two of a, b, a + b give
+    the third), so erased where both are.  Leaf i is u_i's flag.  If
+    every flagged leaf is a frozen u_i (a check row, u_i = 0), a word of
+    the kernel that is zero off the flagged set is zero: the flagged
+    columns are independent, over any field.  Takes ints, or uint64
+    arrays when n <= 64.
+    """
+    for h, lo in _sc_masks(n):
+        a = f & lo
+        b = (f >> h) & lo
+        f = a | b | ((a & b) << h)
+    return f
+
+
+# ---------------------------------------------------------------------------
 # rank / kernel / solve
 
 
@@ -734,10 +821,23 @@ def select_columns(m: Matrix, cols) -> Matrix:
 
 
 def columns_independent(m: Matrix, cols) -> bool:
-    """Whether the selected columns are linearly independent."""
+    """Whether the selected columns are linearly independent.
+
+    When m is made of transform rows (``Matrix._frozen_rows``), a set
+    whose successive-cancellation leaves (``_sc_leaves``) are all
+    unflagged or frozen is independent over every field; elimination
+    decides the sets that certificate leaves open, and every other
+    matrix.
+    """
     cs = _as_column_set(cols, m.ncols)
     if len(cs) > m.nrows:
         return False
+    frozen = m._frozen_rows()
+    if frozen is not None:
+        flags = np.zeros(m.ncols, np.uint8)
+        flags[np.array(cs.indices, np.intp) - 1] = 1
+        if not _sc_leaves(_bits_int(flags), m.ncols) & ~frozen:
+            return True
     make_basis, vecs = independence_tracker(m)
     basis = make_basis()
     return all(basis.insert(vecs[j]) for j in cs.zero_based())
@@ -772,9 +872,8 @@ def _solve_columns(m: Matrix, idx, y):
         yv = vector(m.field, y)
         if yv.shape[0] != m.nrows:
             raise ValueError("rhs length does not match nrows")
-        y_int = int.from_bytes(np.packbits(yv, bitorder="little").tobytes(), "little")
         cols = m._column_ints()
-        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], y_int)
+        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _bits_int(yv))
         return rk, ok, (_int_bits([x], k)[0] if ok else None)
     yv, d = _native(m.field, y)
     if len(yv) != m.nrows:
@@ -832,14 +931,15 @@ def matvec(m: Matrix, x):
     xv = vector(m.field, x)
     if len(xv) != m.ncols:
         raise ValueError("vector length does not match ncols")
-    out = []
-    for row in m._data:
-        acc = _ZERO
-        for a, b in zip(row, xv):
-            if a and b:
-                acc += a * b
-        out.append(acc)
-    return out
+    # column j is cols[j] / scales[j]: sum the ints over a common denominator
+    cols, scales = m._column_vectors()
+    coeffs = [(j, v / scales[j]) for j, v in enumerate(xv) if v]
+    den = math.lcm(*(c.denominator for _, c in coeffs))
+    acc = [0] * m.nrows
+    for j, c in coeffs:
+        k = c.numerator * (den // c.denominator)
+        acc = [a + k * b for a, b in zip(acc, cols[j])]
+    return [Fraction(a, den) for a in acc]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

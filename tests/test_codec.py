@@ -33,6 +33,7 @@ from highgirth import (
     union_bound_mec,
     weight_enumerator,
 )
+from highgirth import fields
 from highgirth.channels import ChannelOutput
 from highgirth.codec import render_report
 from highgirth.fields import negate_vector, vector, vectors_equal
@@ -92,6 +93,14 @@ def test_generator_rows_satisfy_checks():
             assert vectors_equal(matvec(code.pcm, vector(GF2, row)), z)
 
 
+@pytest.mark.parametrize("field", [GF2, FieldSpec.gfp(3), GF5, RAT], ids=str)
+def test_generator_is_the_kernel_basis(field):
+    pcm = check_matrix(64, F(1, 2), SelectionSpec.top(26), field).matrix
+    code = code_from_pcm(pcm)
+    assert code.gen == Matrix.from_rows(field, [list(v) for v in kernel(pcm)])
+    assert rank(code.gen) == code.k == 38
+
+
 def test_encode_syndrome_zero():
     rng = random.Random(18)
     for field in (GF2, GF5, RAT):
@@ -149,6 +158,21 @@ def test_mec_decode_fills_erasures():
                     hit = True
                     break
             assert hit
+
+
+def test_mec_decode_stays_apart_from_the_oracle_certificate(monkeypatch):
+    # criterion 7 checks the decoder against the oracle, so the decoder
+    # must not read the SC certificate the oracle answers from
+    def refuse(*_):
+        raise AssertionError("the decoder used the SC certificate")
+
+    monkeypatch.setattr(fields, "_sc_leaves", refuse)
+    monkeypatch.setattr(Matrix, "_frozen_rows", refuse)
+    code = code_from_pcm(check_matrix(64, F(1, 2), SelectionSpec.top(26)).matrix)
+    cw = encode(code, [1] * code.k)
+    out = mec_transmit(GF2, cw, F(1, 5), SubStream(3, 0))
+    res = mec_decode(code, out)
+    assert res.status == "decoded" and vectors_equal(res.codeword, cw)
 
 
 def test_mec_decode_all_erased_is_ambiguous():

@@ -12,7 +12,9 @@ from highgirth import (
     ColumnSet,
     FieldSpec,
     Matrix,
+    SelectionSpec,
     as_fraction,
+    check_matrix,
     columns_independent,
     exact_girth,
     first_dependent_subset,
@@ -32,6 +34,7 @@ from highgirth import _gf2core as core
 from highgirth.fields import (
     BitBasis,
     VectorBasis,
+    _sc_leaves,
     independence_tracker,
     vector,
     vectors_equal,
@@ -643,3 +646,155 @@ def test_gf2_vector_rejects_floats_and_bools():
         vector(GF2, [1, 0.0])
     with pytest.raises(TypeError):
         vector(GF2, [True, 0])
+
+
+# ---------------------------------------------------------------- SC certificate
+# A matrix made of transform rows answers columns_independent from the
+# successive-cancellation (SC) leaves first.  The certificate must be
+# sound: whatever it certifies, elimination finds independent.
+
+
+def transform_rows_matrix(n, frozen, field):
+    """Rows i in ``frozen`` (0-based) of the n x n transform, entry by entry."""
+    return Matrix.from_rows(field, [[int(i & ~j == 0) for j in range(n)] for i in frozen])
+
+
+def reference_sc_leaves(flags, n):
+    """SC leaf flags, recursively on lists: split by the top index bit."""
+    if n == 1:
+        return list(flags)
+    h = n // 2
+    a, b = flags[:h], flags[h:]
+    return reference_sc_leaves([x or y for x, y in zip(a, b)], h) + reference_sc_leaves(
+        [x and y for x, y in zip(a, b)], h
+    )
+
+
+def sc_certified(n, frozen):
+    """Per erasure pattern f (bit j = column j): every SC leaf is unflagged or frozen."""
+    leaves = _sc_leaves(np.arange(1 << n, dtype=np.uint64), n)
+    open_leaves = np.uint64(((1 << n) - 1) & ~sum(1 << i for i in frozen))
+    return (leaves & open_leaves) == 0
+
+
+def frozen_sets(n, tops, seed):
+    """The top:m sets of check_matrix(n, 1/2, .) (0-based) and as many random sets."""
+    sets = [
+        [i - 1 for i in check_matrix(n, Fraction(1, 2), SelectionSpec.top(m)).rows]
+        for m in tops
+    ]
+    # with row 0 (all ones) free, one erasure flags leaf 0 and nothing
+    # but the empty set is certified, so the random sets keep row 0
+    rng = random.Random(seed)
+    sets += [[0] + rng.sample(range(1, n), rng.randrange(n - 1)) for _ in tops]
+    return sets
+
+
+def eliminated_independent(m, cols):
+    make_basis, vecs = independence_tracker(m)
+    basis = make_basis()
+    return all(basis.insert(vecs[j]) for j in cols)
+
+
+def test_sc_leaves_match_recursive_reference():
+    for n in (1, 2, 4, 8, 16):
+        leaves = _sc_leaves(np.arange(1 << n, dtype=np.uint64), n).tolist()
+        for f in range(1 << n) if n <= 8 else random.Random(n).sample(range(1 << n), 2000):
+            want = reference_sc_leaves([f >> j & 1 for j in range(n)], n)
+            assert _sc_leaves(f, n) == leaves[f] == sum(v << i for i, v in enumerate(want))
+
+
+def test_sc_certificate_is_sound_gf2_n16():
+    n = 16
+    counts = []
+    for frozen in frozen_sets(n, (4, 8, 10, 12), seed=1601):
+        m = transform_rows_matrix(n, frozen, GF2)
+        certified = np.flatnonzero(sc_certified(n, frozen)).tolist()
+        for f in certified:
+            assert eliminated_independent(m, [j for j in range(n) if f >> j & 1]), (frozen, f)
+        counts.append(len(certified))
+    assert min(counts) > 1  # every set certifies more than the empty set
+
+
+@pytest.mark.parametrize("field", [GF3, GF5, RAT], ids=str)
+def test_sc_certificate_is_sound_n8(field):
+    n = 8
+    for frozen in frozen_sets(n, (2, 4, 5, 6), seed=801):
+        m = transform_rows_matrix(n, frozen, field)
+        assert m._frozen_rows() == sum(1 << i for i in frozen)
+        certified = sc_certified(n, frozen)
+        for f in range(1 << n):
+            cols = [j for j in range(n) if f >> j & 1]
+            indep = eliminated_independent(m, cols)
+            assert indep or not certified[f], (frozen, f)
+            assert columns_independent(m, [j + 1 for j in cols]) == indep
+        assert certified[1:].any()
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_frozen_rows_recognized_from_entries(field):
+    cm = check_matrix(64, Fraction(1, 2), SelectionSpec.top(26), field)
+    mask = sum(1 << (i - 1) for i in cm.rows)
+    assert cm.matrix._frozen_rows() == mask
+    buf = io.StringIO()
+    write_matrix(cm.matrix, buf)
+    buf.seek(0)
+    assert read_matrix(buf)._frozen_rows() == mask
+    # row order and repeated rows do not change the frozen set
+    rows = cm.matrix.to_rows()
+    assert Matrix.from_rows(field, rows[::-1] + rows[:1])._frozen_rows() == mask
+
+    def edited(edit):
+        r = [list(row) for row in rows]
+        edit(r)
+        return Matrix.from_rows(field, r)._frozen_rows()
+
+    def last_entry(value):  # every transform row is 1 in the last column
+        def edit(r):
+            r[0][63] = value
+
+        return edit
+
+    def swap(r):
+        j = next(j for j in range(1, 64) if any(row[0] != row[j] for row in r))
+        for row in r:
+            row[0], row[j] = row[j], row[0]
+
+    def zero_row(r):
+        r.append([0] * 64)
+
+    def truncate(r):
+        for row in r:
+            del row[48:]
+
+    edits = [last_entry(0), swap, zero_row, truncate]
+    if field == GF3:
+        edits.append(last_entry(2))
+    if field == RAT:
+        edits.append(last_entry(Fraction(1, 2)))
+    for edit in edits:
+        assert edited(edit) is None, edit.__name__
+
+
+def test_certified_pattern_skips_elimination(monkeypatch):
+    cm = check_matrix(1024, Fraction(2, 5), SelectionSpec.top(614))
+    rng = np.random.default_rng(7)
+    erased = np.flatnonzero(rng.random(1024) < 0.4)
+    frozen = [i - 1 for i in cm.rows]
+    f = sum(1 << int(j) for j in erased)
+    assert not _sc_leaves(f, 1024) & ~sum(1 << i for i in frozen)  # SC-certified
+    assert eliminated_independent(cm.matrix, erased.tolist())
+
+    calls = []
+    real_insert = core.insert
+
+    def counting_insert(*args):
+        calls.append(1)
+        return real_insert(*args)
+
+    monkeypatch.setattr(core, "insert", counting_insert)
+    assert columns_independent(cm.matrix, ColumnSet.of(erased + 1))
+    assert not calls
+    other = Matrix.from_rows(GF2, random_rows(random.Random(5), 614, 1024, GF2))
+    assert columns_independent(other, ColumnSet.of(erased[:100] + 1))
+    assert calls

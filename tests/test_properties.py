@@ -105,8 +105,19 @@ def test_matvec_on_empty_shapes():
             assert_matvec_is_row_products(Matrix.zeros(field, nrows, ncols), [1] * ncols)
 
 
+@st.composite
+def transform_row_matrices(draw):
+    """Rows of the n x n transform (1 where i & ~j == 0), n <= 16, in any order."""
+    field = draw(st.sampled_from(FIELDS))
+    n = 1 << draw(st.integers(0, 4))
+    frozen = draw(st.lists(st.integers(0, n - 1), unique=True))
+    rows = [[int(i & ~j == 0) for j in range(n)] for i in frozen]
+    m = Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, n)
+    return m, None, draw(st.sets(st.integers(1, n)))
+
+
 @ALGEBRA
-@given(matrices())
+@given(matrices() | transform_row_matrices())
 def test_columns_independent_is_full_column_rank(case):
     m, _, cols = case
     assert columns_independent(m, cols) == (rank(select_columns(m, cols)) == len(cols))
