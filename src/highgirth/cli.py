@@ -14,11 +14,9 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from .codec import (
@@ -40,6 +38,7 @@ from .construction import (
 from .fields import (
     EnumerationBudget,
     FieldSpec,
+    _write_text,
     as_fraction,
     parse_probability,
     read_matrix,
@@ -62,23 +61,6 @@ EXACT_PROFILE_MANDATORY = 1 << 8
 EXACT_PROFILE_DEFAULT_CAP = 1 << 10
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see
-    a half-written file."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _default_threads() -> int:
     raw = os.environ.get("HIGHGIRTH_THREADS", "1")
     try:
@@ -92,7 +74,7 @@ def _emit(report: dict, json_path: str | None) -> None:
     text = json.dumps(report, indent=2) + "\n"
     sys.stdout.write(text)
     if json_path:
-        atomic_write(json_path, text)
+        _write_text(json_path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +94,7 @@ def _cmd_profile(args) -> int:
     else:
         exact = n <= EXACT_PROFILE_DEFAULT_CAP
     prof = compute_profile(n, args.s, exact=exact)
-    buf = io.StringIO()
-    write_profile_csv(prof.values, prof.exact, buf)
-    if args.out:
-        atomic_write(args.out, buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    write_profile_csv(prof.values, prof.exact, args.out or sys.stdout)
     if args.delta is not None:
         lo, mid, hi = polarization_fractions(prof.values, args.delta)
         sys.stderr.write(
@@ -190,12 +167,7 @@ def _parse_grid(text: str) -> list[Fraction]:
 def _cmd_girth_scan(args) -> int:
     m, _ = _load_check(args.matrix)
     res = girth_scan(m, _parse_grid(args.grid), args.trials, args.seed, args.threads)
-    buf = io.StringIO()
-    write_scan_csv(res, buf)
-    if args.out:
-        atomic_write(args.out, buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    write_scan_csv(res, args.out or sys.stdout)
     return EXIT_OK
 
 

@@ -34,10 +34,11 @@ from .fields import (
     Matrix,
     _as_column_set,
     _bits_int,
-    _pack_rows_u8,
+    _generator,
+    _int_bits,
     _solve_columns,
     columns_independent,
-    kernel,
+    kernel,  # noqa: F401 - perfbench/layers.py wraps it here
     matvec,
     negate_vector,
     parse_probability,
@@ -94,32 +95,10 @@ class LinearCode:
         return Fraction(self.k, self.n)
 
 
-def _vec_to_int(v: np.ndarray) -> int:
-    return _bits_int(np.asarray(v, np.uint8))
-
-
-def _int_to_vec(c: int, n: int) -> np.ndarray:
-    raw = np.frombuffer(c.to_bytes((n + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n]
-
-
 def code_from_pcm(pcm: Matrix) -> LinearCode:
     """Code with the given checks; rank-deficient check sets are allowed."""
-    ker = kernel(pcm)
-    k = len(ker)
-    if not k:
-        gen = Matrix.zeros(pcm.field, 0, pcm.ncols)
-    elif pcm.field.kind == GF2:
-        gen = Matrix.from_packed_gf2(_pack_rows_u8(np.array(ker.vectors, np.uint8)), pcm.ncols)
-    elif pcm.field.kind == GFP:
-        # the kernel vectors are already residues in [0, p)
-        gen = Matrix._new(pcm.field, k, pcm.ncols, np.array(ker.vectors, np.int64))
-    else:
-        gen = Matrix.from_rows(pcm.field, [list(v) for v in ker.vectors])
-    gi = None
-    if pcm.field.kind == GF2:
-        gi = tuple(_vec_to_int(v) for v in ker.vectors)
-    return LinearCode(pcm.field, pcm.ncols, k, pcm, gen, gi)
+    gen, gi = _generator(pcm)
+    return LinearCode(pcm.field, pcm.ncols, gen.nrows, pcm, gen, gi)
 
 
 def encode(code: LinearCode, message):
@@ -132,7 +111,7 @@ def encode(code: LinearCode, message):
         for bit, g in zip(msg, code.gen_ints):
             if bit:
                 c ^= g
-        return _int_to_vec(c, code.n)
+        return _int_bits(c, code.n)
     out = zero_vector(code.field, code.n)
     if code.field.kind == GFP:
         p = code.field.p
@@ -422,7 +401,7 @@ def ml_decode_bsc(code: LinearCode, received, budget: int = DEFAULT_ENUM_BUDGET)
         raise EnumerationBudget(
             f"2**{code.k} codewords exceed the enumeration budget {budget}"
         )
-    y = _vec_to_int(np.asarray(vector(code.field, received), np.uint8))
+    y = _bits_int(vector(code.field, received))
     best_c = 0
     best_d = code.n + 1
     count_at_best = 0
@@ -434,7 +413,7 @@ def ml_decode_bsc(code: LinearCode, received, budget: int = DEFAULT_ENUM_BUDGET)
             count_at_best += 1
             if c < best_c:
                 best_c = c
-    return MLResult(_int_to_vec(best_c, code.n), best_d, count_at_best == 1)
+    return MLResult(_int_bits(best_c, code.n), best_d, count_at_best == 1)
 
 
 def bsc_error_rate(

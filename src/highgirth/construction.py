@@ -4,7 +4,13 @@ The n x n Sierpinski matrix (n a power of two) has a 1 at (i, j), both
 0-based, exactly when the binary support of i is contained in that of j.
 Its entries are 0/1, so it is a matrix over any field; it is unit upper
 triangular (full rank everywhere), its own inverse over GF(2), and
-applying it to a vector costs n log n field operations via a butterfly.
+applying it to a vector costs n log n field operations via a butterfly,
+one body for every field.  Its rows come from one builder,
+``fields._transform_rows``: ``sierpinski`` takes all of them, a check
+matrix takes the selected ones, and ``read_check_matrix`` checks a
+sidecar by rebuilding its rows and comparing.  ``sierpinski_row`` stays
+a separate one-row form, so the exhaustive oracles below do not share
+the builder.
 
 A check matrix keeps the rows whose profile value survives a selection
 rule.  Because the full transform is invertible, any row subset is
@@ -24,7 +30,6 @@ import numpy as np
 from ._gf2core import rank_packed  # noqa: F401 - perfbench/layers.py wraps it here
 from .fields import (
     GF2,
-    GFP,
     BitBasis,
     ColumnSet,
     EnumerationBudget,
@@ -32,11 +37,14 @@ from .fields import (
     Matrix,
     VectorBasis,
     _bits_int,
-    _pack_rows_u8,
+    _read_text,
+    _transform_rows,
+    _write_text,
     independence_tracker,
     parse_probability,
     rank,
     read_matrix,
+    vector,
     write_matrix,
 )
 from .montecarlo import (
@@ -108,56 +116,30 @@ def sierpinski(n: int, field: FieldSpec = FieldSpec.gf2()) -> Matrix:
             f"dense transform over {field} capped at n={cap}; "
             "use sierpinski_row or sierpinski_transform"
         )
-    i = np.arange(n).reshape(-1, 1)
-    j = np.arange(n).reshape(1, -1)
-    dense = (i & ~j) == 0
-    if field.kind == GF2:
-        return Matrix.from_packed_gf2(_pack_rows_u8(dense.astype(np.uint8)), n)
-    if field.kind == GFP:
-        return Matrix._new(field, n, n, dense.astype(np.int64))
-    return Matrix.from_rows(field, dense.astype(np.int64).tolist())
+    return _transform_rows(field, n, range(n))
 
 
 def sierpinski_transform(field: FieldSpec, x, inverse: bool = False):
     """Apply the transform (or its inverse) to a length-n vector.
 
-    Butterfly passes over halves: forward goes coarse to fine adding the
-    bottom half into the top; the inverse runs fine to coarse
-    subtracting.  Over GF(2) the two agree and the map is an involution.
+    One butterfly pass per index bit h adds (inverse: subtracts) each
+    entry with bit h set into its partner with bit h clear, reducing mod
+    the field order when there is one.  The passes commute.  Over GF(2)
+    adding and subtracting agree, so the map is an involution.
     """
-    from .fields import vector as _vector
-
-    v = _vector(field, x)
-    n = len(v)
-    _require_pow2(n)
-    sizes = [1 << k for k in range(_require_pow2(n), 0, -1)]
-    if inverse:
-        sizes.reverse()
-    if field.kind == GF2:
-        v = np.asarray(v, np.uint8).copy()
-        for sz in sizes:
-            h = sz >> 1
-            for lo in range(0, n, sz):
-                v[lo : lo + h] ^= v[lo + h : lo + sz]
-        return v
-    if field.kind == GFP:
-        v = np.asarray(v, np.int64).copy()
-        p = field.p
-        for sz in sizes:
-            h = sz >> 1
-            for lo in range(0, n, sz):
-                if inverse:
-                    v[lo : lo + h] = (v[lo : lo + h] - v[lo + h : lo + sz]) % p
-                else:
-                    v[lo : lo + h] = (v[lo : lo + h] + v[lo + h : lo + sz]) % p
-        return v
-    v = list(v)
-    for sz in sizes:
-        h = sz >> 1
-        for lo in range(0, n, sz):
-            for t in range(lo, lo + h):
-                v[t] = v[t] - v[t + h] if inverse else v[t] + v[t + h]
-    return v
+    v = vector(field, x)
+    k = _require_pow2(len(v))
+    q = field.order
+    a = np.array(v, dtype=None if q else object)
+    for h in (1 << b for b in range(k)):
+        w = a.reshape(-1, 2, h)
+        if inverse:
+            w[:, 0] -= w[:, 1]
+        else:
+            w[:, 0] += w[:, 1]
+        if q:
+            w[:, 0] %= q
+    return a if q else a.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +174,9 @@ class CheckMatrix:
 
 
 def _rows_matrix(n: int, picked: ColumnSet, field: FieldSpec) -> Matrix:
-    idx = np.array(picked.indices, np.int64) - 1
-    cols = ~np.arange(n)
-    if field.kind == GF2:
-        from .fields import _nwords
-
-        # pack in slabs of about 2**20 entries, so a large n never
-        # materializes the full dense block
-        packed = np.empty((len(idx), _nwords(n)), np.uint64)
-        step = max(1, (1 << 20) // n)
-        for lo in range(0, len(idx), step):
-            dense = (idx[lo : lo + step, None] & cols) == 0
-            packed[lo : lo + step] = _pack_rows_u8(dense)
-        return Matrix.from_packed_gf2(packed, n)
-    if n > DENSE_FIELD_CAP:
+    if field.kind != GF2 and n > DENSE_FIELD_CAP:
         raise ValueError(f"dense {field} check matrix capped at n={DENSE_FIELD_CAP}")
-    dense = ((idx[:, None] & cols) == 0).astype(np.int64)
-    if field.kind == GFP:
-        return Matrix._new(field, len(idx), n, dense)
-    return Matrix.from_rows(field, dense.tolist())
+    return _transform_rows(field, n, np.array(picked.indices, np.int64) - 1)
 
 
 def check_matrix(
@@ -458,12 +424,7 @@ def write_scan_csv(res: GirthScanResult, target) -> None:
     for r, rep in zip(res.grid, res.estimates):
         lo, hi = rep.interval()
         lines.append(f"{r},{rep.estimate:.17g},{lo:.17g},{hi:.17g},{rep.trials}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write_text(target, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +439,7 @@ def write_check_matrix(cm: CheckMatrix, path: str) -> None:
         "selection": cm.selection.to_json(),
         "H": list(cm.rows.indices),
     }
-    with open(path + ".json", "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    _write_text(path + ".json", json.dumps(meta, indent=2) + "\n")
 
 
 def read_check_matrix(path: str) -> CheckMatrix:
@@ -491,8 +450,7 @@ def read_check_matrix(path: str) -> CheckMatrix:
     rests on the file's word alone.
     """
     m = read_matrix(path)
-    with open(path + ".json", "r", encoding="ascii") as fh:
-        meta = json.load(fh)
+    meta = json.loads(_read_text(path + ".json"))
     try:
         n, s, selection, h = meta["n"], meta["s"], meta["selection"], meta["H"]
         selection = SelectionSpec.from_json(selection)

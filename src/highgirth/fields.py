@@ -25,13 +25,25 @@ erasure decoder and minimum-support recovery pass their own subsets.
 GF(2) ``matvec`` reads the same cached column ints, and rational
 ``matvec`` the cached scaled columns.
 
-``columns_independent`` first tries a certificate.  A matrix whose rows
-are rows of the n x n transform (1 at (i, j) when i & ~j == 0), as every
-check matrix is, is recognized from its entries (``Matrix._frozen_rows``);
-its kernel is the polar code with those rows frozen.  When successive-
-cancellation erasure decoding of that code succeeds on the selected
-columns (``_sc_leaves``, flags only, the same over every field), they
-are independent; elimination decides every other case.
+Rows of the n x n transform T (1 at (i, j) when i & ~j == 0) come from
+one builder, ``_transform_rows``, over every field.  Over GF(2) it
+writes each row packed, as the Kronecker product of a row of the
+n/64-word transform and a 64-bit in-word pattern, so no n-wide block is
+built.
+
+``columns_independent`` first tries a certificate.  A matrix made of
+rows of T, as every check matrix is, is recognized from its entries by
+rebuilding and comparing (``Matrix._frozen_rows``): each row's first
+nonzero column names the only row of T it can be, and the builder's rows
+at those columns must equal the matrix.  Its kernel is the polar code
+with those rows frozen.  When successive-cancellation erasure decoding
+of that code succeeds on the selected columns (``_sc_leaves``, flags
+only, the same over every field), they are independent; elimination
+decides every other case.
+
+Text files are written through ``_write_text``: to a stream, or to a
+path through a sibling temporary file renamed into place, created with
+the mode ``open`` would give.
 
 Index conventions: ``ColumnSet`` (and the row sets built on top of it
 elsewhere) uses 1-based indices, matching the text formats this package
@@ -43,6 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -302,7 +315,9 @@ def _gfp_entry(v, p: int) -> int:
 def _rational_entry(v) -> Fraction:
     if isinstance(v, float):
         raise TypeError("pass rational entries as Fraction, int, or 'a/b' string")
-    return Fraction(v)
+    f = Fraction(v)
+    # 0 and 1 are shared objects, so 0/1 matrices compare entries by identity
+    return _ZERO if not f else _ONE if f == 1 else f
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +361,17 @@ def _bits_int(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _int_bits(ints, ncols: int) -> np.ndarray:
-    """Inverse of _row_ints; returns a (len(ints), ncols) uint8 array."""
-    nbytes = (ncols + 7) >> 3
-    raw = b"".join(v.to_bytes(nbytes, "little") for v in ints)
-    by = np.frombuffer(raw, np.uint8).reshape(len(ints), nbytes)
-    return np.unpackbits(by, axis=1, bitorder="little")[:, :ncols]
+def _int_bits(v: int, ncols: int) -> np.ndarray:
+    """Inverse of _bits_int; returns an ncols-entry uint8 vector."""
+    by = np.frombuffer(v.to_bytes((ncols + 7) >> 3, "little"), np.uint8)
+    return np.unpackbits(by, bitorder="little")[:ncols]
+
+
+def _rows_packed(ints, ncols: int) -> np.ndarray:
+    """Inverse of _row_ints; returns (len(ints), ceil(ncols/64)) uint64 words."""
+    nw = _nwords(ncols)
+    raw = b"".join(v.to_bytes(nw * 8, "little") for v in ints)
+    return np.frombuffer(raw, "<u8").reshape(len(ints), nw).astype(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -551,38 +571,24 @@ class Matrix:
     def _frozen_rows(self) -> int | None:
         """The transform rows this matrix is made of, as a mask, or None.
 
-        Bit i of the mask is set when some row is transform row i: 1 at
-        the columns j with i & ~j == 0 and 0 elsewhere, so i is its first
-        nonzero column.  None unless ncols is a power of two and every
-        row is such a row.  Read from the entries, never assumed.  Cached.
+        Each row's first nonzero column names the only transform row it
+        can be, and bit i of the mask is set when some row leads at i.
+        The mask is the answer exactly when the matrix equals the
+        builder's rows at those leads (``_transform_rows``); None for a
+        zero row, when ncols is not a power of two, or when any entry
+        differs.  Read from the entries, never assumed.  Cached.
         """
-        if "frozen" in self._cache:
-            return self._cache["frozen"]
-        n, frozen = self.ncols, None
-        if n and not n & (n - 1):
-            if self.field.kind == GF2:
-                ones = _row_ints(self._data)
-            else:
-                d = self._data
-                if self.field.kind == RATIONAL:
-                    d = np.array(d, dtype=object).reshape(self.nrows, n)
-                one = d == 1
-                # an entry outside {0, 1}: stand in a zero row, which matches no transform row
-                ones = _row_ints(_pack_rows_u8(one)) if (one | (d == 0)).all() else [0]
-            frozen = 0
-            for r in ones:
-                i = (r & -r).bit_length() - 1
-                # the columns j with i & ~j == 0: outside the h-clear mask of each bit h of i
-                row = (1 << n) - 1
-                for h, lo in _sc_masks(n):
-                    if i & h:
-                        row &= ~lo
-                if not r or r != row:
-                    frozen = None
-                    break
-                frozen |= 1 << i
-        self._cache["frozen"] = frozen
-        return frozen
+        if "frozen" not in self._cache:
+            n, frozen = self.ncols, None
+            if n and not n & (n - 1):
+                if self.field.kind == GF2:
+                    leads = [(r & -r).bit_length() - 1 if r else None for r in _row_ints(self._data)]
+                else:
+                    leads = [_lead(r, 0, n) for r in self._data]
+                if None not in leads and self == _transform_rows(self.field, n, leads):
+                    frozen = sum(1 << i for i in set(leads))
+            self._cache["frozen"] = frozen
+        return self._cache["frozen"]
 
     # -- dunder -------------------------------------------------------
 
@@ -756,6 +762,35 @@ def _echelon(field: FieldSpec, columns: list, scales: list[int], nrows: int):
 
 
 # ---------------------------------------------------------------------------
+# rows of the n x n transform, T[i, j] = 1 when i & ~j == 0
+
+# row r of the 64 x 64 transform as one packed word, for r = 0, ..., 63
+_WORD_ROWS = _pack_rows_u8((np.arange(64)[:, None] & ~np.arange(64)) == 0)[:, 0]
+
+
+def _transform_rows(field: FieldSpec, n: int, idx) -> Matrix:
+    """Rows ``idx`` (0-based, in the given order, repeats allowed) of T.
+
+    The only code that writes a transform row.  With i = 64u + r and
+    j = 64w + b, i & ~j == 0 exactly when u & ~w == 0 and r & ~b == 0,
+    so T is the Kronecker product of the n/64-word transform and the
+    64 x 64 one: over GF(2), word w of row i is ``_WORD_ROWS[i & 63]``
+    when (i >> 6) & ~w == 0 and 0 otherwise, and no n-wide block is
+    built.  Other fields take the dense 0/1 block.
+    """
+    idx = np.asarray(idx, np.int64).reshape(-1)
+    if field.kind == GF2:
+        word = _WORD_ROWS[idx & 63] & np.uint64((1 << min(n, 64)) - 1)
+        on = ((idx >> 6)[:, None] & ~np.arange(_nwords(n))) == 0
+        return Matrix._new(field, len(idx), n, np.where(on, word[:, None], np.uint64(0)))
+    dense = ((idx[:, None] & ~np.arange(n)) == 0).astype(np.int64)
+    if field.kind == GFP:
+        return Matrix._new(field, len(idx), n, dense)
+    rows = tuple(tuple(_ONE if v else _ZERO for v in row) for row in dense.tolist())
+    return Matrix._new(field, len(idx), n, rows)
+
+
+# ---------------------------------------------------------------------------
 # successive-cancellation certificate for matrices of transform rows
 
 
@@ -853,9 +888,25 @@ def kernel(m: Matrix) -> KernelBasis:
     n = m.ncols
     if m.field.kind == GF2:
         _, relations, _ = _gf2core.echelon(m._column_ints())
-        return KernelBasis(m.field, n, tuple(_int_bits(relations, n)))
+        return KernelBasis(m.field, n, tuple(_int_bits(r, n) for r in relations))
     _, relations = _echelon(m.field, *m._column_vectors(), m.nrows)
     return KernelBasis(m.field, n, tuple(relations))
+
+
+def _generator(m: Matrix) -> tuple[Matrix, tuple[int, ...] | None]:
+    """The vectors of ``kernel(m)`` as the rows of a matrix, and over
+    GF(2) also as ints (bit j = entry j), read straight off the
+    elimination's relations."""
+    n = m.ncols
+    if m.field.kind == GF2:
+        _, relations, _ = _gf2core.echelon(m._column_ints())
+        return Matrix._new(m.field, len(relations), n, _rows_packed(relations, n)), tuple(relations)
+    _, relations = _echelon(m.field, *m._column_vectors(), m.nrows)
+    if m.field.kind == GFP:
+        data = np.array(relations, np.int64).reshape(len(relations), n)
+    else:
+        data = tuple(map(tuple, relations))
+    return Matrix._new(m.field, len(relations), n, data), None
 
 
 def _solve_columns(m: Matrix, idx, y):
@@ -874,7 +925,7 @@ def _solve_columns(m: Matrix, idx, y):
             raise ValueError("rhs length does not match nrows")
         cols = m._column_ints()
         rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _bits_int(yv))
-        return rk, ok, (_int_bits([x], k)[0] if ok else None)
+        return rk, ok, (_int_bits(x, k) if ok else None)
     yv, d = _native(m.field, y)
     if len(yv) != m.nrows:
         raise ValueError("rhs length does not match nrows")
@@ -916,7 +967,7 @@ def matvec(m: Matrix, x):
         acc = 0
         for j in np.flatnonzero(xv).tolist():
             acc ^= cols[j]
-        return _int_bits([acc], m.nrows)[0]
+        return _int_bits(acc, m.nrows)
     if m.field.kind == GFP:
         xv = np.asarray(vector(m.field, x), np.int64)
         if xv.shape[0] != m.ncols:
@@ -1104,24 +1155,46 @@ def vandermonde(field: FieldSpec, m: int, nodes) -> Matrix:
 # per line; rational entries as a/b or plain integers
 
 
+def _write_text(target, text: str) -> None:
+    """Write ``text`` to a stream, or to a path atomically.
+
+    A path gets a sibling temporary file, created as ``open`` would
+    create it (mode 0o666 less the umask) and renamed over the path, so
+    a reader sees the old file or the new one, never a part; the
+    temporary file is removed when anything fails.
+    """
+    if hasattr(target, "write"):
+        target.write(text)
+        return
+    path = os.path.abspath(target)
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _read_text(source) -> str:
+    """The text of a stream or of a path."""
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source, "r", encoding="ascii") as fh:
+        return fh.read()
+
+
 def write_matrix(m: Matrix, target) -> None:
     lines = [f"{m.nrows} {m.ncols} {m.field.name()}"]
     for row in m.to_rows():
         lines.append(" ".join(str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write_text(target, "\n".join(lines) + "\n")
 
 
 def read_matrix(source) -> Matrix:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
+    text = _read_text(source)
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")

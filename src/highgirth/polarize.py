@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import ColumnSet, as_fraction, parse_probability
+from .fields import ColumnSet, _read_text, _write_text, as_fraction, parse_probability
 
 __all__ = [
     "ell",
@@ -472,13 +472,15 @@ def bhattacharyya_sum(n: int, z0, rows: ColumnSet) -> Fraction:
     Upper-bounds the decoding failure probability of the code whose
     checks are the selected rows; can exceed 1 (clamp for reporting).
     Uses the martingale identity: total mass is n * z0, so only the
-    selected leaves need exact evaluation.
+    selected leaves need exact evaluation.  Every leaf shares the
+    denominator of z0 to the n-th power, so their numerators are summed
+    and one Fraction is built.
     """
     z = parse_probability(z0, "z0")
     if rows.indices and rows.indices[-1] > n:
         raise ValueError("row index out of range")
-    picked = sum(profile_leaf(n, i, z) for i in rows)
-    return n * z - picked
+    picked = sum(_leaf_numerator(n, i, z)[0] for i in rows)
+    return n * z - Fraction(picked, z.denominator**n)
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +494,12 @@ def write_profile_csv(values, exact: bool, target) -> None:
             lines.append(f"{i},{Fraction(v)}")
         else:
             lines.append(f"{i},{float(v):.17g}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write_text(target, "\n".join(lines) + "\n")
 
 
 def read_profile_csv(source) -> tuple[bool, list]:
     """Returns (exact, values) from the CSV format written above."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
+    text = _read_text(source)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("# mode:"):
         raise ValueError("missing profile header")

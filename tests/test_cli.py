@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface in a subprocess."""
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -231,6 +232,44 @@ def test_analyze_bound(pcm16, tmp_path):
     assert rep["min_distance"] >= 1
     assert rep["tail_dominated_at_min_distance"] is True
     assert rep["bounds"]["union_float"] is not None
+
+
+def test_output_files_take_the_umask_mode(tmp_path):
+    # every file the CLI writes is created as open() would create it, and
+    # written atomically: no temporary file stays behind, even on failure
+    pcm = str(tmp_path / "h.txt")
+    vdm = str(tmp_path / "v.txt")
+    write_matrix(vandermonde(FieldSpec.rational(), 4, [1, 2, 3, 4, 5, 6]), vdm)
+    runs = [
+        ("construct", "--n", "16", "--s", "1/2", "--select", "top:8", "--out", pcm),
+        ("profile", "--n", "16", "--s", "1/2", "--out", str(tmp_path / "p.csv")),
+        ("simulate", "mec", "--pcm", pcm, "--p", "1/4", "--trials", "20", "--seed", "1",
+         "--out", str(tmp_path / "mec.json")),
+        ("simulate", "bsc", "--pcm", pcm, "--p", "1/20", "--trials", "20", "--seed", "1",
+         "--out", str(tmp_path / "bsc.json")),
+        ("analyze", "girth-scan", "--matrix", pcm, "--grid", "0.1,0.2", "--trials", "20",
+         "--seed", "1", "--out", str(tmp_path / "scan.csv")),
+        ("analyze", "bound", "--pcm", pcm, "--p", "1/20", "--out", str(tmp_path / "bound.json")),
+        ("analyze", "l0", "--matrix", vdm, "--y=0,-3,-21,-117", "--kmax", "2",
+         "--out", str(tmp_path / "l0.json")),
+    ]
+    (tmp_path / "taken").mkdir()
+    old = os.umask(0o027)
+    try:
+        for args in runs:
+            assert run_cli(*args).returncode == 0, args
+        failed = run_cli("profile", "--n", "16", "--s", "1/2", "--out", str(tmp_path / "taken"))
+    finally:
+        os.umask(old)
+    assert failed.returncode == 2
+    written = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
+    assert written == sorted(
+        ["h.txt", "h.txt.json", "v.txt", "p.csv", "mec.json", "bsc.json", "scan.csv",
+         "bound.json", "l0.json"]
+    )
+    for name in written:
+        if name != "v.txt":
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o640, name
 
 
 def test_usage_errors():

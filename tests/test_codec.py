@@ -27,6 +27,7 @@ from highgirth import (
     pairwise_tail,
     rank,
     select_columns,
+    sierpinski,
     solve_full,
     syndrome,
     union_bound_bsc,
@@ -99,6 +100,16 @@ def test_generator_is_the_kernel_basis(field):
     code = code_from_pcm(pcm)
     assert code.gen == Matrix.from_rows(field, [list(v) for v in kernel(pcm)])
     assert rank(code.gen) == code.k == 38
+    # gen_ints (gf2 only) are the kernel vectors with bit j = entry j, also
+    # off a 64-column word boundary and for the trivial code
+    rng = random.Random(23)
+    ragged = Matrix.from_rows(field, [[rng.randrange(2) for _ in range(70)] for _ in range(20)])
+    for m in (pcm, ragged, sierpinski(8, field)):
+        code = code_from_pcm(m)
+        vecs = [list(v) for v in kernel(m)]
+        assert code.gen == (Matrix.from_rows(field, vecs) if vecs else Matrix.zeros(field, 0, m.ncols))
+        ints = tuple(sum(int(b) << j for j, b in enumerate(v)) for v in vecs)
+        assert code.gen_ints == (ints if field == GF2 else None)
 
 
 def test_encode_syndrome_zero():

@@ -35,13 +35,15 @@ from highgirth import (
     write_check_matrix,
     write_scan_csv,
 )
-from highgirth.fields import vector, vectors_equal
+from highgirth.fields import _transform_rows, vector, vectors_equal
 from highgirth.sparse import BernoulliSupport
 
 F = Fraction
 GF2 = FieldSpec.gf2()
 GF3 = FieldSpec.gfp(3)
+GF5 = FieldSpec.gfp(5)
 RAT = FieldSpec.rational()
+ALL_FIELDS = (GF2, GF3, GF5, RAT)
 
 
 # ---------------------------------------------------------------- transform
@@ -111,6 +113,56 @@ def test_transform_inverse_other_fields():
             assert vectors_equal(x, back)
 
 
+def row_index_sets(n, rng):
+    """Empty, unsorted with repeats, and random index lists with 0 and n - 1."""
+    picked = rng.choices(range(n), k=min(n, 9)) + [0, n - 1, n - 1]
+    rng.shuffle(picked)
+    return [[], [n - 1, 0, n - 1], picked]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_transform_rows_match_closed_form(field):
+    # every size up to 512 crosses the 64-column word boundary of the
+    # packed gf2 rows; the references build each entry from i & ~j
+    rng = random.Random(77)
+    for n in (1 << k for k in range(10)):
+        for idx in row_index_sets(n, rng):
+            m = _transform_rows(field, n, idx)
+            closed = [[int(i & ~j == 0) for j in range(n)] for i in idx]
+            assert (m.field, m.nrows, m.ncols) == (field, len(idx), n)
+            assert m == Matrix.from_rows(field, closed) if idx else m == Matrix.zeros(field, 0, n)
+            assert m.to_rows() == closed == [sierpinski_row(n, i).tolist() for i in idx]
+
+
+def test_frozen_rows_rejects_a_flip_in_the_second_word():
+    for n in (128, 256):
+        cm = check_matrix(n, F(1, 2), SelectionSpec.top(n // 2))
+        for field in ALL_FIELDS:
+            rows = cm.matrix.to_rows()
+            assert Matrix.from_rows(field, rows)._frozen_rows() == sum(1 << (i - 1) for i in cm.rows)
+            r = next(r for r in range(len(rows)) if rows[r].index(1) < 64)
+            for j in (64, 100, 127):
+                flipped = [list(row) for row in rows]
+                flipped[r][j] ^= 1
+                assert Matrix.from_rows(field, flipped)._frozen_rows() is None, (n, field, j)
+
+
+def test_transform_edge_sizes_and_moduli():
+    for field in ALL_FIELDS:
+        for inverse in (False, True):
+            assert vectors_equal(sierpinski_transform(field, vector(field, [1]), inverse), vector(field, [1]))
+    rng = random.Random(15)
+    for n in (2, 64, 1024):
+        x = vector(GF2, [rng.randrange(2) for _ in range(n)])
+        assert vectors_equal(sierpinski_transform(GF2, x, inverse=True), sierpinski_transform(GF2, x))
+    big = FieldSpec.gfp(2147483647)
+    for n in (2, 64, 1024):
+        x = vector(big, [rng.randrange(big.p - 3, big.p) for _ in range(n)])
+        y = sierpinski_transform(big, x)
+        assert vectors_equal(y, matvec(sierpinski(n, big), x))
+        assert vectors_equal(sierpinski_transform(big, y, inverse=True), x)
+
+
 # ---------------------------------------------------------------- rank oracle
 
 def test_expected_rank_oracle_base_case():
@@ -151,10 +203,9 @@ def test_oracle_rejects_bad_input():
 def test_check_matrix_rows_come_from_transform():
     cm = check_matrix(8, F(1, 2), SelectionSpec.top(3))
     assert cm.rows == select_rows(8, F(1, 2), SelectionSpec.top(3))
-    g = sierpinski(8).to_rows()
     got = cm.matrix.to_rows()
     for out_row, idx in zip(got, cm.rows.indices):
-        assert list(out_row) == list(g[idx - 1])
+        assert list(out_row) == sierpinski_row(8, idx - 1).tolist()
     assert cm.nchecks == 3
     assert cm.code_dimension == 5
     assert cm.field == GF2

@@ -360,6 +360,18 @@ def test_leaf_sum_frozen():
     assert bhattacharyya_sum(4, F(1, 2), ColumnSet.full(4)) == 0
 
 
+def test_bhattacharyya_sum_equals_per_leaf_fraction_sum():
+    # the sum runs on leaf numerators over their shared denominator; the
+    # reference adds one reduced Fraction per leaf
+    rng = random.Random(29)
+    for n in (16, 256, 1024):
+        for z in (F(0), F(1, 2), F(2, 5), F(3, 10), F(5, 7), F(1)):
+            picked = ColumnSet.of(rng.sample(range(1, n + 1), n // 3))
+            for rows in (ColumnSet.empty(), picked, ColumnSet.full(n)):
+                want = n * z - sum((profile_leaf(n, i, z) for i in rows), F(0))
+                assert bhattacharyya_sum(n, z, rows) == want, (n, z, len(rows))
+
+
 # ---------------------------------------------------------------- csv io
 
 def test_profile_csv_roundtrip():
