@@ -1,14 +1,17 @@
 """Linear codes from check matrices: encoding, decoding, and error bounds.
 
-One erasure decoder serves every field: it solves for the erased
-coordinates from the syndrome with ``fields._solve_columns``, on the
-check matrix's cached columns.  It fails exactly when the check-matrix
-columns at the erased positions are linearly dependent, and the
-simulator verifies that equivalence on every trial through a separate
-oracle, ``fields.columns_independent``.  On a check matrix made of
-transform rows the oracle answers from a successive-cancellation
-certificate and eliminates only the erasure sets that leaves open, so
-it shares no step with the decoder's solve.
+One erasure decoder serves every field.  Over GF(2), on a check matrix
+made of transform rows, it decodes by successive cancellation
+(``fields._sc_decode``) and keeps the result only after checking it
+against the received word and the checks; every other case solves for
+the erased coordinates from the syndrome with ``fields._solve_columns``,
+on the check matrix's cached columns.  It fails exactly when the
+check-matrix columns at the erased positions are linearly dependent,
+and the simulator verifies that equivalence on every trial through a
+separate oracle, ``fields.columns_independent``.  On a check matrix of
+transform rows the oracle peels on the butterfly graph and eliminates
+only the columns peeling leaves open, so it shares no certificate with
+the decoder.
 
 The crossing-channel side is exact where it can be: the weight
 enumerator is computed by full codeword enumeration (budgeted), the
@@ -34,8 +37,11 @@ from .fields import (
     Matrix,
     _as_column_set,
     _bits_int,
+    _flag_int,
     _generator,
+    _gf2_transform,
     _int_bits,
+    _sc_decode,
     _solve_columns,
     columns_independent,
     kernel,  # noqa: F401 - perfbench/layers.py wraps it here
@@ -152,13 +158,29 @@ class DecodeResult:
 def mec_decode(code: LinearCode, output: ChannelOutput) -> DecodeResult:
     """Fill erased coordinates by solving the syndrome equations.
 
-    Solves H_E @ x = -H @ y on the check matrix's cached columns at the
-    erased positions E, so a trial builds no sub-matrix.  The syndrome
-    reads the erased slots too; the channel leaves them 0, and then
-    y + x on E is the sent codeword.
+    The erased slots get x with H_E @ x = -H @ y, E the erased positions.
+    The syndrome reads the erased slots too; the channel leaves them 0,
+    and then the filled word is the sent codeword.
+
+    Over GF(2), on a check matrix of transform rows
+    (``Matrix._frozen_rows``), successive cancellation (``_sc_decode``)
+    proposes the codeword c first.  It is taken only when it agrees with
+    y off E and T c is zero on the frozen rows: SC returns a word only
+    when every erased leaf is frozen, so E's columns are independent and
+    c is the one completion, and x = c + y on E.  Every other case solves
+    on the check matrix's cached columns at E (``_solve_columns``), so a
+    trial builds no sub-matrix.
     """
     filled = vector(code.field, output.symbols)
     erased = _as_column_set(output.flagged, code.n, "erased")
+    n = code.n
+    frozen = code.pcm._frozen_rows() if code.field.kind == GF2 else None
+    if frozen is not None:
+        y, f = _bits_int(filled), _flag_int(erased, n)
+        known = y & ~f
+        c = _sc_decode(known, f, frozen, n)
+        if c is not None and c & ~f == known and not _gf2_transform(c, n) & frozen:
+            return DecodeResult("decoded", _int_bits(c ^ (y & f), n), erased)
     idx = list(erased.zero_based())
     syn = negate_vector(code.field, matvec(code.pcm, filled))
     rk, consistent, x = _solve_columns(code.pcm, idx, syn)
@@ -205,11 +227,12 @@ def mec_error_rate(
 
     Each trial draws a message, encodes, erases, decodes, and also asks
     the oracle ``columns_independent`` whether the erased columns of the
-    check matrix are dependent: a successive-cancellation certificate on
-    a matrix of transform rows, with elimination for the sets it leaves
-    open, apart from the decoder's solve.  The two verdicts must agree
-    trial by trial; disagreements are counted and reported (and indicate
-    a bug).
+    check matrix are dependent.  On a matrix of transform rows the
+    oracle peels on the butterfly graph and eliminates the columns left
+    open, and over GF(2) the decoder runs successive cancellation on the
+    values; otherwise the decoder solves and the oracle eliminates the
+    whole set.  The two verdicts must agree trial by trial;
+    disagreements are counted and reported (and indicate a bug).
 
     Per trial the substream is consumed in a fixed order: message first,
     then the erasure pattern.  Over the rationals the zero codeword is

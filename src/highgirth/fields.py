@@ -31,15 +31,18 @@ writes each row packed, as the Kronecker product of a row of the
 n/64-word transform and a 64-bit in-word pattern, so no n-wide block is
 built.
 
-``columns_independent`` first tries a certificate.  A matrix made of
-rows of T, as every check matrix is, is recognized from its entries by
-rebuilding and comparing (``Matrix._frozen_rows``): each row's first
-nonzero column names the only row of T it can be, and the builder's rows
-at those columns must equal the matrix.  Its kernel is the polar code
-with those rows frozen.  When successive-cancellation erasure decoding
-of that code succeeds on the selected columns (``_sc_leaves``, flags
-only, the same over every field), they are independent; elimination
-decides every other case.
+A matrix made of rows of T, as every check matrix is, is recognized
+from its entries by rebuilding and comparing (``Matrix._frozen_rows``):
+each row's first nonzero column names the only row of T it can be, and
+the builder's rows at those columns must equal the matrix.  Its kernel
+is the polar code with those rows frozen, and two algorithms on the
+butterfly graph of T serve it.  The GF(2) erasure decoder proposes
+codewords by successive cancellation (``_sc_decode``, values on Python
+ints).  ``columns_independent`` peels instead (``_bp_known``, erasure
+belief propagation, the same over every field): a kernel vector that is
+zero off the selected columns is zero wherever peeling determines it,
+so elimination runs only on the columns peeling leaves open, and every
+other matrix eliminates the whole set.
 
 Text files are written through ``_write_text``: to a stream, or to a
 path through a sibling temporary file renamed into place, created with
@@ -249,6 +252,14 @@ class ColumnSet:
         return cls(tuple(sorted({int(i) for i in items})))
 
     @classmethod
+    def _sorted_ints(cls, indices: tuple[int, ...]) -> "ColumnSet":
+        """Wrap indices that are already ints >= 1, sorted and distinct,
+        such as ``np.flatnonzero(mask) + 1`` as a list, without the check."""
+        cs = object.__new__(cls)
+        object.__setattr__(cs, "indices", indices)
+        return cs
+
+    @classmethod
     def empty(cls) -> "ColumnSet":
         return cls(())
 
@@ -435,17 +446,6 @@ class Matrix:
         return cls._new(field, nrows, ncols, data)
 
     @classmethod
-    def from_packed_gf2(cls, bits: np.ndarray, ncols: int) -> "Matrix":
-        """Wrap already bit-packed rows (copied) as a gf2 matrix."""
-        bits = np.array(bits, dtype=np.uint64)
-        if bits.ndim != 2 or bits.shape[1] != _nwords(ncols):
-            raise ValueError("packed shape does not match ncols")
-        # clear padding bits beyond ncols so equality and rank see clean data
-        if ncols & 63 and bits.shape[1]:
-            bits[:, -1] &= np.uint64((1 << (ncols & 63)) - 1)
-        return cls._new(FieldSpec.gf2(), bits.shape[0], ncols, bits)
-
-    @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
         if field.kind == GF2:
             return cls._new(field, nrows, ncols, np.zeros((nrows, _nwords(ncols)), np.uint64))
@@ -525,16 +525,6 @@ class Matrix:
         if self.field.kind == GFP:
             return self._data.astype(int).tolist()
         return [list(r) for r in self._data]
-
-    def transpose(self) -> "Matrix":
-        if self.field.kind == GF2:
-            return Matrix._new(self.field, self.ncols, self.nrows, self._t_bits())
-        if self.field.kind == GFP:
-            return Matrix._new(self.field, self.ncols, self.nrows, self._data.T.copy())
-        rows = tuple(
-            tuple(self._data[i][j] for i in range(self.nrows)) for j in range(self.ncols)
-        )
-        return Matrix._new(self.field, self.ncols, self.nrows, rows)
 
     # -- internal caches ----------------------------------------------
 
@@ -791,7 +781,13 @@ def _transform_rows(field: FieldSpec, n: int, idx) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# successive-cancellation certificate for matrices of transform rows
+# successive cancellation and peeling on the butterfly graph of the transform
+#
+# u = T x, with T the n x n transform (T[i, j] = 1 when i & ~j == 0), is n
+# log2 n butterflies: for each index bit h, the entry j with bit h clear
+# gains the entry j + h.  A matrix of the rows ``frozen`` of T has the
+# kernel {x : u_i = 0 for i in frozen}, the polar code with those rows
+# frozen.  Ints carry vectors and masks, bit j = coordinate j.
 
 
 @functools.lru_cache(maxsize=16)
@@ -804,26 +800,85 @@ def _sc_masks(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _sc_leaves(f, n: int):
-    """Erasure flags of the n leaves of successive-cancellation decoding.
-
-    ``f`` flags erased coordinates of x (bit j = coordinate j), and u =
-    T x with T the n x n transform, T[i, j] = 1 when i & ~j == 0.  Split
-    x by the index bit h into a (bit clear) and b (bit set): u's half
-    with bit h clear is the transform of a + b, erased where a or b is;
-    once that half is known, so is a + b, and u's other half is the
-    transform of b, known where b is or a is (any two of a, b, a + b give
-    the third), so erased where both are.  Leaf i is u_i's flag.  If
-    every flagged leaf is a frozen u_i (a check row, u_i = 0), a word of
-    the kernel that is zero off the flagged set is zero: the flagged
-    columns are independent, over any field.  Takes ints, or uint64
-    arrays when n <= 64.
-    """
+def _gf2_transform(x: int, n: int) -> int:
+    """T x over GF(2), one XOR per index bit."""
     for h, lo in _sc_masks(n):
-        a = f & lo
-        b = (f >> h) & lo
-        f = a | b | ((a & b) << h)
-    return f
+        x ^= (x >> h) & lo
+    return x
+
+
+def _flag_int(cs: ColumnSet, n: int) -> int:
+    """The 1-based columns of ``cs`` as an int, bit j = 0-based column j."""
+    flags = np.zeros(n, np.uint8)
+    flags[np.array(cs.indices, np.intp) - 1] = 1
+    return _bits_int(flags)
+
+
+def _sc_decode(v: int, f: int, frozen: int, n: int) -> int | None:
+    """Successive-cancellation erasure decoding of x over GF(2).
+
+    ``v`` holds x with the flagged coordinates ``f`` cleared, and u_i = 0
+    for i in ``frozen``.  Split x by the top index bit h into a (bit
+    clear) and b (bit set): u's half with bit h clear is the transform of
+    a + b, erased where a or b is, and u's other half is the transform of
+    b.  Once a + b is decoded, b is known where b is, or where a is (any
+    two of a, b and a + b give the third), so it stays erased where both
+    are.  Returns x, or None when some flagged leaf u_i is not frozen.
+    Fully known and fully frozen nodes never read the data, so on a word
+    that is not a codeword the result is not a solution: check it.
+    """
+    if not f:
+        return v
+    full = (1 << n) - 1
+    if frozen == full:
+        return 0
+    if not frozen:
+        return None
+    h = n >> 1
+    lo = full >> h
+    va, vb, fa, fb = v & lo, v >> h, f & lo, f >> h
+    c1 = _sc_decode(va ^ vb, fa | fb, frozen & lo, h)
+    if c1 is None:
+        return None
+    c2 = _sc_decode(vb ^ ((vb ^ va ^ c1) & fb & ~fa), fa & fb, frozen >> h, h)
+    if c2 is None:
+        return None
+    return (c1 ^ c2) | (c2 << h)
+
+
+def _bp_known(f: int, frozen: int, n: int) -> int:
+    """The coordinates of x that peeling on the butterfly graph determines.
+
+    The graph has log2(n) + 1 stages of n nodes: stage 0 is x, known off
+    the flagged set ``f``, and the last is u = T x, known (zero) on
+    ``frozen``.  The layer between stages k and k + 1 is the butterfly
+    of entry k of ``_sc_masks`` (the top bit next to x): a node j
+    with that bit clear is the sum of j and j + h one stage back, and
+    j + h passes through.  Over any field, any two of the three give the
+    third.  Sweeps run the layers forward and back in turn until nothing
+    changes or all of x is known.  Returns stage 0's known mask; every
+    value peeling derives is zero on a kernel vector that is zero off
+    ``f``.
+    """
+    full = (1 << n) - 1
+    layers = list(enumerate(_sc_masks(n)))
+    known = [0] * (len(layers) + 1)
+    known[0] = full & ~f
+    known[-1] |= frozen
+    changed = True
+    while changed and known[0] != full:
+        changed = False
+        for k, (h, lo) in layers:
+            old, new = known[k], known[k + 1]
+            olo, nlo, hi = old & lo, new & lo, ((old | new) >> h) & lo
+            nlo |= olo & hi
+            olo |= nlo & hi
+            hi = (hi | (nlo & olo)) << h
+            if olo | hi != old or nlo | hi != new:
+                known[k], known[k + 1] = olo | hi, nlo | hi
+                changed = True
+        layers.reverse()
+    return known[0]
 
 
 # ---------------------------------------------------------------------------
@@ -858,24 +913,28 @@ def select_columns(m: Matrix, cols) -> Matrix:
 def columns_independent(m: Matrix, cols) -> bool:
     """Whether the selected columns are linearly independent.
 
-    When m is made of transform rows (``Matrix._frozen_rows``), a set
-    whose successive-cancellation leaves (``_sc_leaves``) are all
-    unflagged or frozen is independent over every field; elimination
-    decides the sets that certificate leaves open, and every other
-    matrix.
+    When m is made of transform rows (``Matrix._frozen_rows``), peeling
+    on the butterfly graph (``_bp_known``) first determines what it can
+    of a kernel vector that is zero off the set, and every such value is
+    zero.  So the set is independent exactly when its columns that
+    peeling leaves open are, and elimination runs on those alone, over
+    every field.  Other matrices eliminate the whole set.
     """
     cs = _as_column_set(cols, m.ncols)
     if len(cs) > m.nrows:
         return False
     frozen = m._frozen_rows()
-    if frozen is not None:
-        flags = np.zeros(m.ncols, np.uint8)
-        flags[np.array(cs.indices, np.intp) - 1] = 1
-        if not _sc_leaves(_bits_int(flags), m.ncols) & ~frozen:
+    if frozen is None:
+        idx = cs.zero_based()
+    else:
+        f = _flag_int(cs, m.ncols)
+        rest = f & ~_bp_known(f, frozen, m.ncols)
+        if not rest:
             return True
+        idx = np.flatnonzero(_int_bits(rest, m.ncols)).tolist()
     make_basis, vecs = independence_tracker(m)
     basis = make_basis()
-    return all(basis.insert(vecs[j]) for j in cs.zero_based())
+    return all(basis.insert(vecs[j]) for j in idx)
 
 
 def kernel(m: Matrix) -> KernelBasis:
@@ -1211,7 +1270,17 @@ def read_matrix(source) -> Matrix:
     body = lines[1:]
     if len(body) != nrows:
         raise ValueError(f"expected {nrows} rows, found {len(body)}")
-    parse = Fraction if field.kind == RATIONAL else int
+    if field.kind == RATIONAL:
+        # each distinct token is parsed once, straight to the canonical entry
+        seen: dict[str, Fraction] = {}
+
+        def parse(t):
+            v = seen.get(t)
+            if v is None:
+                v = seen[t] = _rational_entry(t)
+            return v
+    else:
+        parse = int
     rows = []
     for lineno, ln in body:
         toks = ln.split()
@@ -1223,4 +1292,6 @@ def read_matrix(source) -> Matrix:
             raise ValueError(f"line {lineno}: bad {field} entry ({exc})") from exc
     if not rows:
         return Matrix.zeros(field, nrows, ncols)
+    if field.kind == RATIONAL:
+        return Matrix._new(field, nrows, ncols, tuple(map(tuple, rows)))
     return Matrix.from_rows(field, rows)

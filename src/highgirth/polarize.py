@@ -24,6 +24,7 @@ recomputed exactly, so fast selection agrees with exact selection.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -76,6 +77,25 @@ def _levels(n: int) -> int:
     return n.bit_length() - 1
 
 
+def _coprime_fraction_maker():
+    """Fraction(a, d) for a, d already in lowest terms with d > 0, without
+    the gcd: ``Fraction._from_coprime_ints`` (Python 3.12 and later), else
+    ``Fraction(a, d, _normalize=False)`` (3.10 and 3.11), else the public
+    constructor.  Both shortcuts are private, so probe them once here."""
+    if hasattr(Fraction, "_from_coprime_ints"):
+        return Fraction._from_coprime_ints
+    try:
+        Fraction(1, 1, _normalize=False)
+    except TypeError:
+        return Fraction
+    return functools.partial(Fraction, _normalize=False)
+
+
+# every exact leaf of a reduced s = a/b is in lowest terms: modulo a prime
+# dividing b, a(2D - a) is -a**2 and a*a is a**2, and neither is 0
+_leaf_fraction = _coprime_fraction_maker()
+
+
 def _profile_numerators(n: int, s) -> tuple[list[int], int]:
     """(nums, den): the exact profile of s is nums[j]/den, leaf j 0-based.
 
@@ -101,7 +121,7 @@ def rank_profile(n: int, s) -> tuple[Fraction, ...]:
     nums, den = _profile_numerators(n, s)
     # pop from the back so each numerator is freed once its Fraction exists
     nums.reverse()
-    return tuple(Fraction(nums.pop(), den) for _ in range(len(nums)))
+    return tuple(_leaf_fraction(nums.pop(), den) for _ in range(len(nums)))
 
 
 def rank_profile_float(n: int, s) -> np.ndarray:
@@ -138,7 +158,7 @@ def _leaf_numerator(n: int, i: int, s) -> tuple[int, int]:
 
 def profile_leaf(n: int, i: int, s) -> Fraction:
     """Exact profile value at 1-based leaf i, without the other leaves."""
-    return Fraction(*_leaf_numerator(n, i, s))
+    return _leaf_fraction(*_leaf_numerator(n, i, s))
 
 
 def _above(a: int, den: int, t: Fraction) -> bool:

@@ -129,3 +129,23 @@ def test_channel_rejects_bad_probability():
         bsc_transmit(x, F(3, 2), stream_for(0))
     with pytest.raises(ValueError):
         mec_transmit(GF2, x, F(-1, 2), stream_for(0))
+
+
+def test_flagged_positions_equal_the_checked_column_set():
+    # the channels build their sets without ColumnSet's check loop; the
+    # result must equal the checked set, and the check still guards
+    # every other input
+    from highgirth.channels import _flagged
+    from highgirth.fields import ColumnSet
+
+    rng = np.random.default_rng(5)
+    masks = [rng.random(n) < p for n in (1, 16, 1024) for p in (0.1, 0.5)]
+    masks += [np.zeros(16, np.uint8), np.ones(16, np.uint8), np.zeros(0, np.uint8)]
+    for m in masks:
+        got = _flagged(np.asarray(m, np.uint8))
+        want = ColumnSet.of(int(j) + 1 for j in np.flatnonzero(m))
+        assert got == want and got.indices == want.indices
+        assert all(type(i) is int for i in got.indices)
+    for bad in ((2, 1), (1, 1), (0, 1), (True, 2), (1.0,)):
+        with pytest.raises(ValueError):
+            ColumnSet(bad)

@@ -16,6 +16,7 @@ from highgirth import (
     channel_bounds,
     check_matrix,
     code_from_pcm,
+    columns_independent,
     encode,
     exact_girth,
     kernel,
@@ -34,7 +35,7 @@ from highgirth import (
     union_bound_mec,
     weight_enumerator,
 )
-from highgirth import fields
+from highgirth import codec, fields
 from highgirth.channels import ChannelOutput
 from highgirth.codec import render_report
 from highgirth.fields import negate_vector, vector, vectors_equal
@@ -172,18 +173,89 @@ def test_mec_decode_fills_erasures():
 
 
 def test_mec_decode_stays_apart_from_the_oracle_certificate(monkeypatch):
-    # criterion 7 checks the decoder against the oracle, so the decoder
-    # must not read the SC certificate the oracle answers from
-    def refuse(*_):
-        raise AssertionError("the decoder used the SC certificate")
+    # criterion 7 checks the decoder against the oracle, so the two must
+    # share no certificate: the decoder runs successive cancellation and
+    # never peels, and the oracle peels and never runs successive
+    # cancellation
+    used = []
 
-    monkeypatch.setattr(fields, "_sc_leaves", refuse)
-    monkeypatch.setattr(Matrix, "_frozen_rows", refuse)
+    def refuse(name):
+        def call(*_):
+            raise AssertionError(f"{name} crossed the decoder/oracle split")
+
+        return call
+
+    def counted(name, fn):
+        def call(*args):
+            used.append(name)
+            return fn(*args)
+
+        return call
+
     code = code_from_pcm(check_matrix(64, F(1, 2), SelectionSpec.top(26)).matrix)
     cw = encode(code, [1] * code.k)
     out = mec_transmit(GF2, cw, F(1, 5), SubStream(3, 0))
-    res = mec_decode(code, out)
+    assert out.flagged
+    with monkeypatch.context() as mp:
+        mp.setattr(fields, "_bp_known", refuse("_bp_known"))
+        mp.setattr(codec, "_sc_decode", counted("_sc_decode", fields._sc_decode))
+        res = mec_decode(code, out)
     assert res.status == "decoded" and vectors_equal(res.codeword, cw)
+    assert used == ["_sc_decode"]
+    used.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(fields, "_sc_decode", refuse("_sc_decode"))
+        mp.setattr(codec, "_sc_decode", refuse("_sc_decode"))
+        mp.setattr(fields, "_bp_known", counted("_bp_known", fields._bp_known))
+        assert columns_independent(code.pcm, out.flagged)
+    assert used == ["_bp_known"]
+
+
+def solve_columns_decode(code, y, erased):
+    """The decoder's answer from _solve_columns alone."""
+    idx = list(erased.zero_based())
+    rk, ok, x = fields._solve_columns(code.pcm, idx, negate_vector(code.field, matvec(code.pcm, y)))
+    if not ok:
+        return "inconsistent", None
+    if rk < len(idx):
+        return "ambiguous", None
+    filled = vector(code.field, y)
+    filled[idx] = x
+    return "decoded", filled
+
+
+def test_sc_decoder_matches_subset_solve_on_every_pattern_n16():
+    # every erasure pattern, cycling through a codeword with its erased
+    # slots zeroed, the same with junk left in them, and a word that is
+    # not a codeword; top: and random frozen sets
+    n = 16
+    rng = random.Random(1604)
+    frozen_sets = [
+        [i - 1 for i in check_matrix(n, F(1, 2), SelectionSpec.top(8)).rows],
+        [0] + rng.sample(range(1, n), 6),
+    ]
+    for frozen in frozen_sets:
+        pcm = Matrix.from_rows(GF2, [[int(i & ~j == 0) for j in range(n)] for i in frozen])
+        code = code_from_pcm(pcm)
+        assert pcm._frozen_rows() == sum(1 << i for i in frozen)
+        words = [encode(code, [rng.randrange(2) for _ in range(code.k)]) for _ in range(5)]
+        statuses = set()
+        for f in range(1 << n):
+            erased = ColumnSet.of(j + 1 for j in range(n) if f >> j & 1)
+            y = words[f % 5].copy()
+            if f % 3 == 0:
+                y[list(erased.zero_based())] = 0
+            elif f % 3 == 1:
+                y[rng.randrange(n)] ^= 1
+            want, filled = solve_columns_decode(code, y, erased)
+            res = mec_decode(code, ChannelOutput(GF2, y, erased))
+            assert res.status == want, (frozen, f)
+            if want == "decoded":
+                assert res.codeword.dtype == filled.dtype and vectors_equal(res.codeword, filled), (frozen, f)
+            else:
+                assert res.codeword is None
+            statuses.add((f % 3, want))
+        assert {(0, "decoded"), (1, "inconsistent"), (2, "decoded"), (0, "ambiguous")} <= statuses
 
 
 def test_mec_decode_all_erased_is_ambiguous():

@@ -34,7 +34,8 @@ from highgirth import _gf2core as core
 from highgirth.fields import (
     BitBasis,
     VectorBasis,
-    _sc_leaves,
+    _bp_known,
+    _sc_decode,
     independence_tracker,
     vector,
     vectors_equal,
@@ -325,6 +326,23 @@ def test_matrix_io_roundtrip(tmp_path):
         back = read_matrix(str(path))
         assert back.field == field
         assert back.to_rows() == m.to_rows()
+
+
+def test_rational_matrix_read_equals_from_rows():
+    # each token is parsed once; the result equals the coerced matrix,
+    # 0 and 1 included as the shared entries
+    text = "3 4 rational\n0 1 -2 3/4\n-5/6 1 0 2/4\n7 -1 1/3 0\n"
+    rows = [[0, 1, -2, Fraction(3, 4)], [Fraction(-5, 6), 1, 0, Fraction(1, 2)], [7, -1, "1/3", "0"]]
+    back = read_matrix(io.StringIO(text))
+    assert back == Matrix.from_rows(RAT, rows)
+    assert all(type(v) is Fraction for r in back.to_rows() for v in r)
+    assert back.entry(0, 0) is back.entry(1, 2) and back.entry(0, 1) is back.entry(1, 1)
+    buf = io.StringIO()
+    write_matrix(back, buf)
+    assert buf.getvalue() == text.replace("2/4", "1/2")
+    for bad in ("1/0", "x", "1.2.3"):
+        with pytest.raises(ValueError, match="line 2"):
+            read_matrix(io.StringIO(f"1 2 rational\n1 {bad}\n"))
 
 
 def test_matrix_io_stream():
@@ -648,10 +666,13 @@ def test_gf2_vector_rejects_floats_and_bools():
         vector(GF2, [True, 0])
 
 
-# ---------------------------------------------------------------- SC certificate
-# A matrix made of transform rows answers columns_independent from the
-# successive-cancellation (SC) leaves first.  The certificate must be
-# sound: whatever it certifies, elimination finds independent.
+# ---------------------------------------------------------------- SC and BP
+# A matrix made of transform rows decodes by successive cancellation (SC)
+# over GF(2), and answers columns_independent by peeling (BP) on the
+# butterfly graph plus elimination of what peeling leaves open.  SC's
+# leaf flags are the reference: a set whose flagged leaves are all
+# frozen is independent.  BP must certify every such set, and BP plus
+# the residue must give elimination's verdict.
 
 
 def transform_rows_matrix(n, frozen, field):
@@ -660,21 +681,24 @@ def transform_rows_matrix(n, frozen, field):
 
 
 def reference_sc_leaves(flags, n):
-    """SC leaf flags, recursively on lists: split by the top index bit."""
+    """SC leaf flags, recursively on lists: split by the top index bit.
+
+    The flags may be 0/1 ints or, entry by entry, arrays of them."""
     if n == 1:
         return list(flags)
     h = n // 2
     a, b = flags[:h], flags[h:]
-    return reference_sc_leaves([x or y for x, y in zip(a, b)], h) + reference_sc_leaves(
-        [x and y for x, y in zip(a, b)], h
+    return reference_sc_leaves([x | y for x, y in zip(a, b)], h) + reference_sc_leaves(
+        [x & y for x, y in zip(a, b)], h
     )
 
 
 def sc_certified(n, frozen):
     """Per erasure pattern f (bit j = column j): every SC leaf is unflagged or frozen."""
-    leaves = _sc_leaves(np.arange(1 << n, dtype=np.uint64), n)
-    open_leaves = np.uint64(((1 << n) - 1) & ~sum(1 << i for i in frozen))
-    return (leaves & open_leaves) == 0
+    f = np.arange(1 << n)
+    leaves = reference_sc_leaves([f >> j & 1 for j in range(n)], n)
+    open_leaves = [leaves[i] for i in range(n) if i not in set(frozen)]
+    return ~np.any(open_leaves, axis=0) if open_leaves else f >= 0
 
 
 def frozen_sets(n, tops, seed):
@@ -690,18 +714,27 @@ def frozen_sets(n, tops, seed):
     return sets
 
 
+def mask(idx):
+    return sum(1 << i for i in idx)
+
+
 def eliminated_independent(m, cols):
     make_basis, vecs = independence_tracker(m)
     basis = make_basis()
     return all(basis.insert(vecs[j]) for j in cols)
 
 
-def test_sc_leaves_match_recursive_reference():
+def test_sc_decode_succeeds_exactly_on_certified_leaves():
+    # on the zero codeword SC returns a word (0) exactly when every
+    # flagged leaf is frozen
+    rng = random.Random(3)
     for n in (1, 2, 4, 8, 16):
-        leaves = _sc_leaves(np.arange(1 << n, dtype=np.uint64), n).tolist()
-        for f in range(1 << n) if n <= 8 else random.Random(n).sample(range(1 << n), 2000):
-            want = reference_sc_leaves([f >> j & 1 for j in range(n)], n)
-            assert _sc_leaves(f, n) == leaves[f] == sum(v << i for i, v in enumerate(want))
+        for frozen in [list(range(n)), []] + [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(6)]:
+            certified = sc_certified(n, frozen)
+            pats = range(1 << n) if n <= 8 else rng.sample(range(1 << n), 3000)
+            for f in pats:
+                got = _sc_decode(0, f, mask(frozen), n)
+                assert got == (0 if certified[f] else None), (n, frozen, f)
 
 
 def test_sc_certificate_is_sound_gf2_n16():
@@ -716,19 +749,101 @@ def test_sc_certificate_is_sound_gf2_n16():
     assert min(counts) > 1  # every set certifies more than the empty set
 
 
+def test_bp_certifies_every_sc_certified_set_n8():
+    # exhaustive: all 256 frozen sets, all 256 erasure patterns
+    n, more = 8, 0
+    table = {f: [j for j in range(n) if f >> j & 1] for f in range(1 << n)}
+    for frozen_mask in range(1 << n):
+        certified = sc_certified(n, table[frozen_mask])
+        for f in range(1 << n):
+            bp = not f & ~_bp_known(f, frozen_mask, n)
+            assert bp or not certified[f], (frozen_mask, f)
+            more += bp and not certified[f]
+    assert more  # peeling certifies sets that SC leaves open
+
+
+def test_bp_residue_verdict_gf2_n16():
+    # exhaustive over erasure patterns: BP certifies every SC-certified
+    # set, never loses a known coordinate, and the columns it leaves open
+    # are independent exactly when the whole set is
+    n = 16
+    full = (1 << n) - 1
+    rng = random.Random(1602)
+    seen = set()
+    for frozen in frozen_sets(n, (6,), seed=1603):
+        m = transform_rows_matrix(n, frozen, GF2)
+        certified = sc_certified(n, frozen)
+        for f in range(1 << n):
+            known = _bp_known(f, mask(frozen), n)
+            assert not full & ~f & ~known
+            rest = f & ~known
+            assert not rest or not certified[f], (frozen, f)
+            indep = eliminated_independent(m, [j for j in range(n) if f >> j & 1])
+            assert eliminated_independent(m, [j for j in range(n) if rest >> j & 1]) == indep
+            seen.add((bool(rest), rest != f, indep))
+        for f in rng.sample(range(1 << n), 500):
+            cols = ColumnSet.of(j + 1 for j in range(n) if f >> j & 1)
+            assert columns_independent(m, cols) == eliminated_independent(m, [j - 1 for j in cols])
+    # (some open, some determined, independent): the residue decides
+    assert {(True, True, True), (True, True, False), (False, True, True)} <= seen
+
+
 @pytest.mark.parametrize("field", [GF3, GF5, RAT], ids=str)
 def test_sc_certificate_is_sound_n8(field):
     n = 8
     for frozen in frozen_sets(n, (2, 4, 5, 6), seed=801):
         m = transform_rows_matrix(n, frozen, field)
-        assert m._frozen_rows() == sum(1 << i for i in frozen)
+        assert m._frozen_rows() == mask(frozen)
         certified = sc_certified(n, frozen)
         for f in range(1 << n):
             cols = [j for j in range(n) if f >> j & 1]
             indep = eliminated_independent(m, cols)
             assert indep or not certified[f], (frozen, f)
+            assert not f & ~_bp_known(f, mask(frozen), n) or not certified[f], (frozen, f)
             assert columns_independent(m, [j + 1 for j in cols]) == indep
         assert certified[1:].any()
+
+
+@pytest.mark.parametrize(
+    "n,s,checks,p", [(256, Fraction(1, 2), 102, 0.30), (256, Fraction(1, 2), 102, 0.35), (1024, Fraction(2, 5), 614, 0.45)]
+)
+def test_bp_residue_verdict_random_sets(n, s, checks, p):
+    m = check_matrix(n, s, SelectionSpec.top(checks)).matrix
+    rng = np.random.default_rng(n + checks)
+    kinds = set()
+    for _ in range(30):
+        erased = np.flatnonzero(rng.random(n) < p).tolist()
+        indep = eliminated_independent(m, erased)
+        assert columns_independent(m, ColumnSet.of(j + 1 for j in erased)) == indep
+        rest = mask(erased) & ~_bp_known(mask(erased), m._frozen_rows(), n)
+        kinds.add((rest == 0, rest == mask(erased), indep))
+    assert (False, False, True) in kinds  # partly open, and the residue answers
+
+
+def test_oracle_eliminates_only_the_residue(monkeypatch):
+    # sets that peeling leaves partly open: elimination inserts the open
+    # columns alone, one insert each, and never the whole set
+    m = check_matrix(256, Fraction(1, 2), SelectionSpec.top(102)).matrix
+    frozen = m._frozen_rows()
+    rng = np.random.default_rng(35)
+    calls = []
+    real_insert = core.insert
+
+    def counting_insert(*args):
+        calls.append(1)
+        return real_insert(*args)
+
+    monkeypatch.setattr(core, "insert", counting_insert)
+    checked = 0
+    while checked < 5:
+        erased = np.flatnonzero(rng.random(256) < 0.35).tolist()
+        rest = mask(erased) & ~_bp_known(mask(erased), frozen, 256)
+        if rest in (0, mask(erased)) or not eliminated_independent(m, erased):
+            continue
+        calls.clear()
+        assert columns_independent(m, ColumnSet.of(j + 1 for j in erased))
+        assert len(calls) == rest.bit_count() < len(erased)
+        checked += 1
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
@@ -780,9 +895,8 @@ def test_certified_pattern_skips_elimination(monkeypatch):
     cm = check_matrix(1024, Fraction(2, 5), SelectionSpec.top(614))
     rng = np.random.default_rng(7)
     erased = np.flatnonzero(rng.random(1024) < 0.4)
-    frozen = [i - 1 for i in cm.rows]
-    f = sum(1 << int(j) for j in erased)
-    assert not _sc_leaves(f, 1024) & ~sum(1 << i for i in frozen)  # SC-certified
+    f = mask(int(j) for j in erased)
+    assert not f & ~_bp_known(f, mask(i - 1 for i in cm.rows), 1024)  # BP-certified
     assert eliminated_independent(cm.matrix, erased.tolist())
 
     calls = []

@@ -282,6 +282,26 @@ def test_leaf_numerator_shares_the_denominator():
             assert F(a, den) == profile_leaf(n, i, s) == rank_profile(n, s)[i - 1]
 
 
+def test_exact_leaves_are_in_lowest_terms(monkeypatch):
+    # leaves skip Fraction's gcd; they must equal the normalized values
+    rates = (F(0), F(1), F(1, 2), F(2, 5), F(1, 6), F(3, 10), F(5, 12))
+    for n in (1, 2, 4, 16, 128, 1024):
+        for s in rates:
+            nums, den = polarize._profile_numerators(n, s)
+            prof = rank_profile(n, s)
+            for leaf, a in zip(prof, nums):
+                want = F(a, den)
+                assert (leaf.numerator, leaf.denominator) == (want.numerator, want.denominator)
+            if n <= 16:
+                for i in range(1, n + 1):
+                    got = profile_leaf(n, i, s)
+                    assert (got.numerator, got.denominator) == (prof[i - 1].numerator, prof[i - 1].denominator)
+    fast = rank_profile(256, F(5, 12))
+    monkeypatch.setattr(polarize, "_leaf_fraction", Fraction)
+    assert rank_profile(256, F(5, 12)) == fast
+    assert profile_leaf(256, 77, F(5, 12)) == fast[76]
+
+
 def test_fast_selection_exact_leaf_count(monkeypatch):
     # the paper's threshold at n = 8192 sits far below float64's absolute
     # resolution; the log-domain enclosure still decides almost every leaf
