@@ -16,18 +16,25 @@ the decoder.
 The crossing-channel side is exact where it can be: the weight
 enumerator is computed by full codeword enumeration (budgeted), the
 union bound uses a certified rational Bhattacharyya bound, and maximum
-likelihood decoding is brute force with a deterministic tie rule.
+likelihood decoding is brute force with a deterministic tie rule.  The
+crossing-channel simulator runs its trials in blocks: one numpy pass
+draws a block's words (``montecarlo._raw_words``) and one popcount pass
+over the packed codewords decides every trial of the block.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 from math import comb
+from operator import xor
 
 import numpy as np
 
-from .channels import ChannelOutput, bhattacharyya_upper, bsc_transmit, mec_transmit
+from .channels import ChannelOutput, bhattacharyya_upper, mec_transmit
+from .channels import bsc_transmit  # noqa: F401 - perfbench/layers.py wraps it here
 from .fields import (
     GF2,
     GFP,
@@ -41,6 +48,8 @@ from .fields import (
     _generator,
     _gf2_transform,
     _int_bits,
+    _pack_rows_u8,
+    _rows_packed,
     _sc_decode,
     _solve_columns,
     columns_independent,
@@ -54,7 +63,7 @@ from .fields import (
     vectors_equal,
     zero_vector,
 )
-from .montecarlo import RNG_ID, SubStream, run_trials, wilson_interval
+from .montecarlo import RNG_ID, SubStream, _raw_words, run_trials, threshold_u64, wilson_interval
 
 __all__ = [
     "LinearCode",
@@ -113,11 +122,7 @@ def encode(code: LinearCode, message):
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} != k={code.k}")
     if code.field.kind == GF2:
-        c = 0
-        for bit, g in zip(msg, code.gen_ints):
-            if bit:
-                c ^= g
-        return _int_bits(c, code.n)
+        return _int_bits(reduce(xor, compress(code.gen_ints, msg.tolist()), 0), code.n)
     out = zero_vector(code.field, code.n)
     if code.field.kind == GFP:
         p = code.field.p
@@ -158,42 +163,49 @@ class DecodeResult:
 def mec_decode(code: LinearCode, output: ChannelOutput) -> DecodeResult:
     """Fill erased coordinates by solving the syndrome equations.
 
-    The erased slots get x with H_E @ x = -H @ y, E the erased positions.
-    The syndrome reads the erased slots too; the channel leaves them 0,
-    and then the filled word is the sent codeword.
+    The erased slots get x with H_E @ x = -H @ y, E the erased positions
+    and y the received word with its erased slots zeroed: whatever
+    symbols those slots hold are ignored, so a "decoded" word always
+    satisfies the checks.
 
     Over GF(2), on a check matrix of transform rows
     (``Matrix._frozen_rows``), successive cancellation (``_sc_decode``)
     proposes the codeword c first.  It is taken only when it agrees with
     y off E and T c is zero on the frozen rows: SC returns a word only
     when every erased leaf is frozen, so E's columns are independent and
-    c is the one completion, and x = c + y on E.  Every other case solves
-    on the check matrix's cached columns at E (``_solve_columns``), so a
-    trial builds no sub-matrix.
+    c is the one completion.  Every other case solves on the check
+    matrix's cached columns at E (``_solve_columns``), so a trial builds
+    no sub-matrix.
     """
     filled = vector(code.field, output.symbols)
     erased = _as_column_set(output.flagged, code.n, "erased")
     n = code.n
     frozen = code.pcm._frozen_rows() if code.field.kind == GF2 else None
     if frozen is not None:
-        y, f = _bits_int(filled), _flag_int(erased, n)
-        known = y & ~f
+        f = _flag_int(erased, n)
+        known = _bits_int(filled) & ~f
         c = _sc_decode(known, f, frozen, n)
         if c is not None and c & ~f == known and not _gf2_transform(c, n) & frozen:
-            return DecodeResult("decoded", _int_bits(c ^ (y & f), n), erased)
+            return DecodeResult("decoded", _int_bits(c, n), erased)
     idx = list(erased.zero_based())
+    _put(filled, idx, zero_vector(code.field, len(idx)))
     syn = negate_vector(code.field, matvec(code.pcm, filled))
     rk, consistent, x = _solve_columns(code.pcm, idx, syn)
     if not consistent:
         return DecodeResult("inconsistent", None, erased)
     if rk < len(idx):
         return DecodeResult("ambiguous", None, erased)
-    if isinstance(filled, np.ndarray):
-        filled[idx] = x
-    else:
-        for pos, val in zip(idx, x):
-            filled[pos] = val
+    _put(filled, idx, x)
     return DecodeResult("decoded", filled, erased)
+
+
+def _put(word, idx: list[int], values) -> None:
+    """word[i] = v for i, v in zip(idx, values), on an array or a list."""
+    if isinstance(word, np.ndarray):
+        word[idx] = values
+    else:
+        for pos, val in zip(idx, values):
+            word[pos] = val
 
 
 def _report_skeleton(code: LinearCode, channel: str, pf: Fraction, trials: int, seed: int, selection) -> dict:
@@ -455,6 +467,19 @@ def bsc_error_rate(
     transmitted one, or ties (the fixed rule may land elsewhere, and a
     tie is already a coin flip the code lost).  Substream order:
     message, then flips.
+
+    Trials run in blocks.  ``_raw_words`` draws a block's k + n words
+    per trial, the trial of ``SubStream(seed, t)``, and word k + j below
+    ``threshold_u64(p)`` flips bit j.  With flip pattern e the received
+    word is the sent one plus e, so by linearity a trial errs exactly
+    when some nonzero codeword c has |c + e| <= |e|: the message words
+    keep their place in the stream but cannot change the verdict.  One
+    popcount pass compares e against every codeword.  The codewords are
+    the sums of a low table (every sum of the first generators) and one
+    sum of the rest, walked in Gray-code order, and the block is sized
+    so no array holds more than ``_BLOCK_WORDS`` words (beyond those of
+    a single trial).  ``threads`` must be at least 1 and does not change
+    the bytes of the report.
     """
     pf = parse_probability(p, "p")
     if code.field.kind != GF2:
@@ -465,16 +490,31 @@ def bsc_error_rate(
         raise EnumerationBudget(
             f"2**{code.k} codewords exceed the enumeration budget {budget}"
         )
-
-    def one_trial(stream: SubStream) -> bool:
-        msg = stream.bits(code.k)
-        cw = encode(code, msg)
-        out = bsc_transmit(cw, pf, stream)
-        res = ml_decode_bsc(code, out.symbols, budget)
-        return not res.unique or not vectors_equal(res.codeword, cw)
-
-    results = run_trials(trials, one_trial, seed, threads)
-    errors = sum(1 for e in results if e)
+    if threads < 1:
+        raise ValueError("need at least one thread")
+    n, k = code.n, code.k
+    gens = _rows_packed(code.gen_ints, n)
+    nw = gens.shape[1]
+    # the low table: every sum of the first a generators, within one block
+    a = min(k, max(0, (_BLOCK_WORDS // max(nw, 1)).bit_length() - 1))
+    low = np.zeros((1, nw), np.uint64)
+    for g in gens[:a]:
+        low = np.concatenate((low, low ^ g))
+    step = max(1, _BLOCK_WORDS // max(k + n, low.size, 1))
+    thr = threshold_u64(pf)
+    errors = 0
+    for start in range(0, trials, step):
+        w = _raw_words(seed, start, min(start + step, trials), k + n)[:, k:]
+        flips = w < np.uint64(thr) if thr < 1 << 64 else np.ones(w.shape, bool)
+        e = _pack_rows_u8(flips)
+        we = _weights(e)[:, None]
+        # count the codewords c with |c + e| <= |e|, c = 0 among them
+        hits = 0
+        for t in range(1 << (k - a)):
+            if t:  # the next sum of the other generators, one flip away
+                e ^= gens[a + (t & -t).bit_length() - 1]
+            hits = hits + (_weights(e[:, None] ^ low) <= we).sum(1)
+        errors += int(np.count_nonzero(hits > 1))
     lo, hi = wilson_interval(errors, trials)
     report = _report_skeleton(code, "bsc", pf, trials, seed, selection)
     report.update(
@@ -487,6 +527,24 @@ def bsc_error_rate(
         }
     )
     return report
+
+
+# no array in a bsc_error_rate block holds more words, unless one trial does
+_BLOCK_WORDS = 1 << 16
+_M1, _M2, _M4, _BYTES = (np.uint64(v * 0x0101010101010101) for v in (0x55, 0x33, 0x0F, 0x01))
+_S1, _S2, _S4, _S56 = (np.uint64(v) for v in (1, 2, 4, 56))
+
+
+def _weights(words: np.ndarray) -> np.ndarray:
+    """Hamming weight of each vector of uint64 words along the last axis.
+
+    Each word holds the bit counts of its pairs, then of its nibbles,
+    then of its bytes; one multiply sums the bytes into the top byte.
+    """
+    x = words - ((words >> _S1) & _M1)
+    x = (x & _M2) + ((x >> _S2) & _M2)
+    x = (x + (x >> _S4)) & _M4
+    return ((x * _BYTES) >> _S56).sum(-1)
 
 
 def render_report(report: dict) -> str:

@@ -3,6 +3,11 @@
 Every trial draws from its own counter-based substream, keyed by (seed,
 trial index).  Results are therefore byte-identical for a given seed,
 and trial t can be replayed in isolation.
+
+A simulator whose trials are cheap can draw a whole block of them at
+once: ``_raw_words`` runs the same Philox4x64-10 generator on numpy
+arrays, one lane per (trial, counter block), and returns the words each
+trial's ``SubStream`` would.
 """
 from __future__ import annotations
 
@@ -26,6 +31,12 @@ RNG_ID = "philox4x64-v1"
 
 _WORD = 1 << 64
 
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
 
 def threshold_u64(p: Fraction) -> int:
     """Integer t such that a uniform 64-bit draw u satisfies u < t with
@@ -33,6 +44,50 @@ def threshold_u64(p: Fraction) -> int:
     if not 0 <= p <= 1:
         raise ValueError("probability out of range")
     return (p.numerator << 64) // p.denominator
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < _WORD:
+        raise ValueError("seed must fit in 64 bits")
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the products a * m, a uint64 array.
+
+    numpy has no 128-bit product, so the high half is summed from the
+    32-bit limb products, each of which fits in 64 bits.
+    """
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    p01, p10 = a0 * m1, a1 * m0
+    mid = (a0 * m0 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = a1 * m1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * np.uint64(m)
+
+
+def _raw_words(seed: int, start: int, stop: int, nwords: int) -> np.ndarray:
+    """(stop - start, nwords) uint64 words; row i is
+    ``SubStream(seed, start + i).raw(nwords)``.
+
+    Philox4x64-10 with key (seed, 0) on the counters (j, 0, t, 0), where
+    block j = 1, 2, ... gives words 4(j - 1) to 4j - 1 of trial t (numpy
+    steps the counter before each block).
+    """
+    _check_seed(seed)
+    if start < 0:
+        raise ValueError("trial index must be nonnegative")
+    blocks = -(-nwords // 4)
+    shape = (stop - start, blocks)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    c2 = np.broadcast_to(np.arange(start, stop, dtype=np.uint64)[:, None], shape)
+    c1 = c3 = np.zeros(shape, np.uint64)
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % _WORD)
+        k1 = np.uint64(r * _PHILOX_W[1] % _WORD)
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), -1).reshape(shape[0], 4 * blocks)[:, :nwords]
 
 
 class SubStream:
@@ -46,8 +101,7 @@ class SubStream:
     __slots__ = ("_bg",)
 
     def __init__(self, seed: int, trial: int):
-        if not 0 <= seed < _WORD:
-            raise ValueError("seed must fit in 64 bits")
+        _check_seed(seed)
         if trial < 0:
             raise ValueError("trial index must be nonnegative")
         self._bg = np.random.Philox(key=seed, counter=trial << 128)

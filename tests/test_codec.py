@@ -36,9 +36,9 @@ from highgirth import (
     weight_enumerator,
 )
 from highgirth import codec, fields
-from highgirth.channels import ChannelOutput
+from highgirth.channels import ChannelOutput, bsc_transmit
 from highgirth.codec import render_report
-from highgirth.fields import negate_vector, vector, vectors_equal
+from highgirth.fields import EnumerationBudget, negate_vector, vector, vectors_equal
 from highgirth.montecarlo import SubStream
 
 F = Fraction
@@ -212,14 +212,15 @@ def test_mec_decode_stays_apart_from_the_oracle_certificate(monkeypatch):
 
 
 def solve_columns_decode(code, y, erased):
-    """The decoder's answer from _solve_columns alone."""
+    """The decoder's answer from _solve_columns alone, erased slots ignored."""
     idx = list(erased.zero_based())
-    rk, ok, x = fields._solve_columns(code.pcm, idx, negate_vector(code.field, matvec(code.pcm, y)))
+    filled = vector(code.field, y)
+    filled[idx] = 0
+    rk, ok, x = fields._solve_columns(code.pcm, idx, negate_vector(code.field, matvec(code.pcm, filled)))
     if not ok:
         return "inconsistent", None
     if rk < len(idx):
         return "ambiguous", None
-    filled = vector(code.field, y)
     filled[idx] = x
     return "decoded", filled
 
@@ -277,14 +278,17 @@ def test_mec_decode_generic_field():
 
 
 def reference_mec_decode(code, y, erased):
-    """Decode by materialising the erased columns as their own matrix."""
-    syn = negate_vector(code.field, matvec(code.pcm, y))
+    """Decode by materialising the erased columns as their own matrix;
+    the symbols in the erased slots are ignored."""
+    filled = vector(code.field, y)
+    for pos in erased.zero_based():
+        filled[pos] = 0 if isinstance(filled, np.ndarray) else F(0)
+    syn = negate_vector(code.field, matvec(code.pcm, filled))
     rk, ok, x = solve_full(select_columns(code.pcm, erased), syn)
     if not ok:
         return "inconsistent", None
     if rk < len(erased):
         return "ambiguous", None
-    filled = vector(code.field, y)
     for pos, val in zip(erased.zero_based(), x):
         filled[pos] = val
     return "decoded", filled
@@ -332,6 +336,31 @@ def test_mec_decode_matches_sub_matrix_solve(field):
                 assert res.codeword is None
             seen.add(want)
         assert seen == {"decoded", "ambiguous", "inconsistent"}, n
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec.gfp(3), GF5, RAT], ids=str)
+def test_mec_decode_ignores_symbols_in_erased_slots(field):
+    # junk left in the erased slots must not reach the decoded word: it
+    # satisfies the checks and is the sent codeword.  Transform rows take
+    # the SC path over GF(2), and the Hamming code the subset solve.
+    rng = random.Random(23)
+    pcms = [check_matrix(16, F(1, 2), SelectionSpec.top(8), field).matrix, Matrix.from_rows(field, HAMMING_7_4)]
+    for pcm in pcms:
+        code = code_from_pcm(pcm)
+        decoded = 0
+        for t in range(60):
+            cw = encode(code, [random_symbol(rng, field) for _ in range(code.k)])
+            erased = ColumnSet.of([1] if t == 0 else rng.sample(range(1, code.n + 1), rng.randrange(1, 5)))
+            hit = set(erased.zero_based())
+            y = vector(field, [v + (i in hit) for i, v in enumerate(cw)])
+            res = mec_decode(code, ChannelOutput(field, y, erased))
+            if res.status == "decoded":
+                decoded += 1
+                assert not any(v != 0 for v in matvec(pcm, res.codeword)), (pcm.ncols, t)
+                assert vectors_equal(res.codeword, cw), (pcm.ncols, t)
+            else:
+                assert res.status == "ambiguous"
+        assert decoded > 30
 
 
 def test_mec_decode_input_checks():
@@ -436,6 +465,58 @@ def test_bsc_error_rate_zero_noise():
     rep = bsc_error_rate(code, F(0), 200, 1)
     assert rep["failures"] == 0 and rep["p_hat"] == 0.0
     assert list(rep.keys())[-4:] == ["p_hat", "ci_lo", "ci_hi", "bounds"]
+
+
+def reference_bsc_failures(code, p, trials, seed):
+    """Criterion 10's trial, one substream at a time."""
+    failures = 0
+    for t in range(trials):
+        stream = SubStream(seed, t)
+        cw = encode(code, stream.bits(code.k))
+        out = bsc_transmit(cw, p, stream)
+        res = ml_decode_bsc(code, out.symbols)
+        failures += not res.unique or not vectors_equal(res.codeword, cw)
+    return failures
+
+
+def bsc_codes():
+    rng = random.Random(70)
+    yield code_from_pcm(check_matrix(16, F(1, 2), SelectionSpec.top(12)).matrix)
+    for m in range(1, 9):  # k = 7 ... 0
+        yield code_from_pcm(check_matrix(8, F(1, 2), SelectionSpec.top(m)).matrix)
+    yield code_from_pcm(Matrix.from_rows(GF2, [[0] * 8]))  # k = 8
+    # several words per codeword, the last one partly used
+    yield code_from_pcm(check_matrix(128, F(1, 2), SelectionSpec.top(120)).matrix)
+    yield code_from_pcm(Matrix.from_rows(GF2, [[rng.randrange(2) for _ in range(70)] for _ in range(62)]))
+
+
+def test_bsc_error_rate_matches_per_trial_reference(monkeypatch):
+    # the default block and a tiny one, which splits the codeword table
+    # and the trials into many blocks; 137 trials fill no block exactly
+    trials, seen = 137, set()
+    for code in bsc_codes():
+        for p in (F(0), F(1, 20), F(1, 2), F(1)):
+            want = reference_bsc_failures(code, p, trials, 9)
+            for words in (codec._BLOCK_WORDS, 64):
+                with monkeypatch.context() as mp:
+                    mp.setattr(codec, "_BLOCK_WORDS", words)
+                    got = bsc_error_rate(code, p, trials, 9)["failures"]
+                assert got == want, (code.n, code.k, p, words)
+            seen.add((code.n, code.k))
+    assert {(8, k) for k in range(9)} | {(16, 4), (128, 8)} <= seen
+    assert any(n == 70 and 8 <= k <= 10 for n, k in seen)
+
+
+def test_bsc_error_rate_input_checks():
+    code = code_from_pcm(Matrix.from_rows(GF2, HAMMING_7_4))
+    with pytest.raises(ValueError):
+        bsc_error_rate(code, F(1, 10), 10, 5, threads=0)
+    with pytest.raises(ValueError):
+        bsc_error_rate(code, F(1, 10), 0, 5)
+    with pytest.raises(ValueError):
+        bsc_error_rate(code, F(1, 10), 10, 1 << 64)
+    with pytest.raises(EnumerationBudget):
+        bsc_error_rate(code, F(1, 10), 10, 5, budget=8)
 
 
 def test_error_rate_thread_invariance():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from highgirth import RNG_ID, SubStream, TrialReport, run_trials, wilson_interval
+from highgirth.montecarlo import _raw_words
 
 F = Fraction
 
@@ -44,6 +45,28 @@ def test_substream_validates_inputs():
         SubStream(1 << 64, 0)
     with pytest.raises(ValueError):
         SubStream(0, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1 << 63, (1 << 64) - 1])
+def test_raw_words_match_substreams(seed):
+    for nwords in (0, 1, 3, 4, 5, 20, 21):
+        for trials in (0, 1, 600):
+            words = _raw_words(seed, 0, trials, nwords)
+            assert words.shape == (trials, nwords) and words.dtype == np.uint64
+            for t in range(trials):
+                assert np.array_equal(words[t], SubStream(seed, t).raw(nwords)), (nwords, t)
+    # a block that starts past trial 0 holds those trials' words
+    assert np.array_equal(_raw_words(seed, 598, 600, 21), _raw_words(seed, 0, 600, 21)[598:])
+
+
+def test_raw_words_validate_inputs():
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            SubStream(seed, 0)
+        with pytest.raises(ValueError):
+            _raw_words(seed, 0, 1, 4)
+    with pytest.raises(ValueError):
+        _raw_words(0, -1, 1, 4)
 
 
 def test_bernoulli_mask_extremes():
