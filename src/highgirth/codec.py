@@ -123,16 +123,12 @@ def encode(code: LinearCode, message):
         raise ValueError(f"message length {len(msg)} != k={code.k}")
     if code.field.kind == GF2:
         return _int_bits(reduce(xor, compress(code.gen_ints, msg.tolist()), 0), code.n)
-    out = zero_vector(code.field, code.n)
     if code.field.kind == GFP:
+        # each product is reduced before summing, so no sum overflows int64
         p = code.field.p
-        acc = np.zeros(code.n, np.int64)
-        for coeff, row in zip(msg, code.gen.to_rows()):
-            if coeff:
-                acc = (acc + int(coeff) * np.array(row, np.int64)) % p
-        return acc
-    acc = list(out)
-    for coeff, row in zip(msg, code.gen.to_rows()):
+        return (msg[:, None] * code.gen._data % p).sum(axis=0) % p
+    acc = zero_vector(code.field, code.n)
+    for coeff, row in zip(msg, code.gen._data):
         if coeff:
             acc = [a + coeff * r for a, r in zip(acc, row)]
     return acc

@@ -6,6 +6,14 @@ columns turned into Python ints (``_gf2core``); prime-field entries are
 canonical residues in [0, p); rational entries are ``fractions.Fraction``
 values.  No floating point enters any rank, kernel, or solve path.
 
+Each field checks an entry in one place, reached through ``vector``:
+``_residue`` over GF(2) and GF(p), which reduces mod the field order
+and refuses floats, bools and non-integer Fractions, and
+``_rational_entry`` over the rationals.  Dense matrices have one
+builder, ``Matrix._of``, which takes an int array of canonical entries;
+``from_rows`` (rows coerced by ``vector``), ``zeros``, ``identity``,
+``_transform_rows`` off GF(2) and ``read_matrix`` all build through it.
+
 GF(p) and the rationals share one elimination loop, ``_insert``, the
 twin of ``_gf2core.insert``.  It runs on columns in elimination form,
 which each matrix caches: int64 residue arrays over GF(p), and over the
@@ -310,17 +318,18 @@ class KernelBasis:
 
 
 # ---------------------------------------------------------------------------
-# entry coercion for the non-GF(2) fields
+# entry coercion: the one check per field, called through ``vector``
 
 
-def _gfp_entry(v, p: int) -> int:
+def _residue(v, q: int) -> int:
+    """A GF(2) or GF(p) entry as its residue in [0, q)."""
     if isinstance(v, Fraction):
         if v.denominator != 1:
             raise ValueError(f"{v} is not an integer residue")
         v = v.numerator
     if isinstance(v, (bool, float)):
-        raise TypeError(f"bad prime-field element {v!r}")
-    return int(v) % p
+        raise TypeError(f"bad GF({q}) element {v!r}")
+    return int(v) % q
 
 
 def _rational_entry(v) -> Fraction:
@@ -417,53 +426,35 @@ class Matrix:
         return cls(field, nrows, ncols, data, _trusted=True)
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
+    def _of(cls, field: FieldSpec, arr: np.ndarray) -> "Matrix":
+        """The matrix of a 2-D int array of canonical entries: residues
+        over GF(2) and GF(p), integers over the rationals."""
+        nrows, ncols = arr.shape
         if field.kind == GF2:
-            arr = np.empty((nrows, ncols), np.uint8)
-            for i, r in enumerate(rows):
-                for j, v in enumerate(r):
-                    if isinstance(v, (bool, float)):
-                        raise TypeError(f"bad gf2 element {v!r}")
-                    if isinstance(v, Fraction):
-                        if v.denominator != 1:
-                            raise ValueError(f"{v} is not a gf2 residue")
-                        v = v.numerator
-                    arr[i, j] = int(v) & 1
             return cls._new(field, nrows, ncols, _pack_rows_u8(arr))
         if field.kind == GFP:
-            arr = np.empty((nrows, ncols), np.int64)
-            for i, r in enumerate(rows):
-                for j, v in enumerate(r):
-                    arr[i, j] = _gfp_entry(v, field.p)
-            return cls._new(field, nrows, ncols, arr)
-        data = tuple(tuple(_rational_entry(v) for v in r) for r in rows)
-        return cls._new(field, nrows, ncols, data)
+            return cls._new(field, nrows, ncols, arr.astype(np.int64, copy=False))
+        # each distinct int becomes its entry once, so 0 and 1 stay _ZERO and _ONE
+        entry = {v: _rational_entry(v) for v in np.unique(arr).tolist()}.__getitem__
+        return cls._new(field, nrows, ncols, tuple(tuple(map(entry, r)) for r in arr.tolist()))
+
+    @classmethod
+    def from_rows(cls, field: FieldSpec, rows) -> "Matrix":
+        rows = [vector(field, r) for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        if field.kind == RATIONAL:
+            return cls._new(field, len(rows), ncols, tuple(map(tuple, rows)))
+        return cls._of(field, np.array(rows, np.int64).reshape(len(rows), ncols))
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        if field.kind == GF2:
-            return cls._new(field, nrows, ncols, np.zeros((nrows, _nwords(ncols)), np.uint64))
-        if field.kind == GFP:
-            return cls._new(field, nrows, ncols, np.zeros((nrows, ncols), np.int64))
-        return cls._new(field, nrows, ncols, tuple((( _ZERO,) * ncols) for _ in range(nrows)))
+        return cls._of(field, np.zeros((nrows, ncols), np.uint8))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        if field.kind == GF2:
-            arr = np.eye(n, dtype=np.uint8)
-            return cls._new(field, n, n, _pack_rows_u8(arr))
-        if field.kind == GFP:
-            return cls._new(field, n, n, np.eye(n, dtype=np.int64))
-        rows = tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-        )
-        return cls._new(field, n, n, rows)
+        return cls._of(field, np.eye(n, dtype=np.uint8))
 
     @classmethod
     def from_columns(cls, field: FieldSpec, columns, nrows: int | None = None) -> "Matrix":
@@ -612,17 +603,10 @@ def vector(field: FieldSpec, values):
         return (values & 1).astype(np.uint8)
     if field.kind == GFP and isinstance(values, np.ndarray) and values.dtype == np.int64:
         return values % field.p
-    vals = list(values)
-    if field.kind == GF2:
-        out = np.empty(len(vals), np.uint8)
-        for i, v in enumerate(vals):
-            if isinstance(v, (bool, float)):
-                raise TypeError(f"bad gf2 element {v!r}")
-            out[i] = int(v) & 1
-        return out
-    if field.kind == GFP:
-        return np.array([_gfp_entry(v, field.p) for v in vals], np.int64)
-    return [_rational_entry(v) for v in vals]
+    q = field.order
+    if q is None:
+        return [_rational_entry(v) for v in values]
+    return np.array([_residue(v, q) for v in values], np.uint8 if q == 2 else np.int64)
 
 
 def zero_vector(field: FieldSpec, n: int):
@@ -669,7 +653,7 @@ def _native(field: FieldSpec, values) -> tuple[object, int]:
     vals = list(values)
     if all(type(v) is int for v in vals):
         return vals, 1
-    return _scaled(_rational_entry(v) for v in vals)
+    return _scaled(vector(field, vals))
 
 
 def _lead(v, lo: int, hi: int) -> int | None:
@@ -773,11 +757,7 @@ def _transform_rows(field: FieldSpec, n: int, idx) -> Matrix:
         word = _WORD_ROWS[idx & 63] & np.uint64((1 << min(n, 64)) - 1)
         on = ((idx >> 6)[:, None] & ~np.arange(_nwords(n))) == 0
         return Matrix._new(field, len(idx), n, np.where(on, word[:, None], np.uint64(0)))
-    dense = ((idx[:, None] & ~np.arange(n)) == 0).astype(np.int64)
-    if field.kind == GFP:
-        return Matrix._new(field, len(idx), n, dense)
-    rows = tuple(tuple(_ONE if v else _ZERO for v in row) for row in dense.tolist())
-    return Matrix._new(field, len(idx), n, rows)
+    return Matrix._of(field, ((idx[:, None] & ~np.arange(n)) == 0).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -1185,27 +1165,14 @@ def vandermonde(field: FieldSpec, m: int, nodes) -> Matrix:
     """Rows node**0 .. node**(m-1) over distinct nodes."""
     if m < 1:
         raise ValueError("need at least one row")
-    vals = list(nodes)
-    if field.kind == GF2:
-        canon = [int(v) & 1 for v in vals]
-    elif field.kind == GFP:
-        canon = [_gfp_entry(v, field.p) for v in vals]
-    else:
-        canon = [_rational_entry(v) for v in vals]
-    if len(set(canon)) != len(canon):
+    q = field.order
+    x = vector(field, nodes)
+    x = x.tolist() if q else x
+    if len(set(x)) != len(x):
         raise ValueError("nodes must be distinct in the field")
-    rows = []
-    if field.kind in (GF2, GFP):
-        q = 2 if field.kind == GF2 else field.p
-        row = [1 % q] * len(canon)
-        for _ in range(m):
-            rows.append(list(row))
-            row = [r * v % q for r, v in zip(row, canon)]
-    else:
-        row = [_ONE] * len(canon)
-        for _ in range(m):
-            rows.append(list(row))
-            row = [r * v for r, v in zip(row, canon)]
+    rows = [[1] * len(x)]
+    for _ in range(m - 1):
+        rows.append([r * v % q if q else r * v for r, v in zip(rows[-1], x)])
     return Matrix.from_rows(field, rows)
 
 
@@ -1268,9 +1235,12 @@ def read_matrix(source) -> Matrix:
         raise ValueError("dimensions must be nonnegative")
     field = FieldSpec.parse(head[2])
     body = lines[1:]
+    if not ncols and not body:
+        body = [(0, "")] * nrows  # rows without entries are blank lines
     if len(body) != nrows:
         raise ValueError(f"expected {nrows} rows, found {len(body)}")
-    if field.kind == RATIONAL:
+    q = field.order
+    if q is None:
         # each distinct token is parsed once, straight to the canonical entry
         seen: dict[str, Fraction] = {}
 
@@ -1280,7 +1250,8 @@ def read_matrix(source) -> Matrix:
                 v = seen[t] = _rational_entry(t)
             return v
     else:
-        parse = int
+        def parse(t):
+            return int(t) % q
     rows = []
     for lineno, ln in body:
         toks = ln.split()
@@ -1290,8 +1261,6 @@ def read_matrix(source) -> Matrix:
             rows.append([parse(t) for t in toks])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: bad {field} entry ({exc})") from exc
-    if not rows:
-        return Matrix.zeros(field, nrows, ncols)
-    if field.kind == RATIONAL:
+    if q is None:
         return Matrix._new(field, nrows, ncols, tuple(map(tuple, rows)))
-    return Matrix.from_rows(field, rows)
+    return Matrix._of(field, np.array(rows, np.int64).reshape(nrows, ncols))

@@ -113,13 +113,9 @@ class SubStream:
     def bernoulli_mask(self, n: int, p: Fraction) -> np.ndarray:
         """uint8 vector of n independent Bernoulli(p) draws."""
         t = threshold_u64(p)
-        if t == 0:
-            self._bg.advance(n)  # keep stream position draw-for-draw stable
-            return np.zeros(n, np.uint8)
+        u = self._bg.random_raw(n)  # n words at every p, so later draws do not depend on p
         if t >= _WORD:
-            self._bg.advance(n)
             return np.ones(n, np.uint8)
-        u = self._bg.random_raw(n)
         return (u < np.uint64(t)).astype(np.uint8)
 
     def bits(self, n: int) -> np.ndarray:

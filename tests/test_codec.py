@@ -132,6 +132,27 @@ def test_encode_syndrome_zero():
             )
 
 
+@pytest.mark.parametrize("field", [GF2, FieldSpec.gfp(3), GF5, RAT], ids=str)
+def test_encode_is_the_message_combination_of_generator_rows(field):
+    rng = random.Random(19)
+    code = code_from_pcm(check_matrix(16, F(1, 2), SelectionSpec.top(8), field).matrix)
+    rows = code.gen.to_rows()
+    q = field.order
+    for _ in range(4):
+        msg = [random_symbol(rng, field) for _ in range(code.k)]
+        if not any(msg):
+            msg[0] = 1
+        want = [sum(m * r[j] for m, r in zip(msg, rows)) for j in range(code.n)]
+        cw = encode(code, msg)
+        if q is None:
+            assert isinstance(cw, list) and all(isinstance(v, F) for v in cw)
+            assert cw == want
+        else:
+            assert isinstance(cw, np.ndarray)
+            assert cw.dtype == (np.uint8 if q == 2 else np.int64)
+            assert cw.tolist() == [v % q for v in want]
+
+
 def test_encode_rejects_wrong_length():
     code = repetition_code(4)
     with pytest.raises(ValueError):

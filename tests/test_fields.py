@@ -666,6 +666,54 @@ def test_gf2_vector_rejects_floats_and_bools():
         vector(GF2, [True, 0])
 
 
+ENTRIES = [0, 1, 3, -1, -7, 10**30 + 1, "7", "-4", Fraction(4), Fraction(-6, 2), Fraction(1, 2), 1.0, 0.5, True, False]
+
+
+def entry_outcome(f):
+    try:
+        return "ok", [v if isinstance(v, Fraction) else int(v) for v in f()]
+    except Exception as exc:  # the type is what must agree
+        return "raises", type(exc)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+@pytest.mark.parametrize("v", ENTRIES, ids=repr)
+def test_every_entry_point_checks_an_entry_alike(field, v):
+    got = entry_outcome(lambda: vector(field, [v]))
+    assert entry_outcome(lambda: Matrix.from_rows(field, [[v]]).row(0)) == got
+    # vandermonde's first row is all ones and its second the nodes
+    assert entry_outcome(lambda: vandermonde(field, 2, [v]).column(0)[1:]) == got
+    ones = ("ok", [1]) if got[0] == "ok" else got
+    assert entry_outcome(lambda: vandermonde(field, 1, [v]).column(0)) == ones
+
+
+def test_non_integer_entries_are_rejected_over_finite_fields():
+    for field in (GF2, GF3):
+        with pytest.raises(ValueError):
+            vector(field, [Fraction(1, 2)])
+        with pytest.raises(TypeError):
+            vandermonde(field, 2, [1.0, 0])
+        with pytest.raises(ValueError):
+            vandermonde(field, 2, [Fraction(3, 2), 0])
+
+
+@pytest.mark.parametrize("field", (GF2, GF3, RAT), ids=str)
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (4, 6), (70, 130)])
+def test_write_then_read_matrix_round_trips(field, shape):
+    rows = random_rows(random.Random(shape[0] * 1000 + shape[1]), *shape, field)
+    m = Matrix.from_rows(field, rows) if shape[0] else Matrix.zeros(field, *shape)
+    buf = io.StringIO()
+    write_matrix(m, buf)
+    back = read_matrix(io.StringIO(buf.getvalue()))
+    assert back == m and (back.nrows, back.ncols) == shape
+
+
+def test_read_matrix_reduces_tokens_mod_q():
+    assert read_matrix(io.StringIO("1 4 gf2\n3 -1 2 -4\n")).to_rows() == [[1, 1, 0, 0]]
+    big = 10**30 + 4
+    assert read_matrix(io.StringIO(f"1 3 gfp:5\n7 -1 {big}\n")).to_rows() == [[2, 4, big % 5]]
+
+
 # ---------------------------------------------------------------- SC and BP
 # A matrix made of transform rows decodes by successive cancellation (SC)
 # over GF(2), and answers columns_independent by peeling (BP) on the

@@ -75,6 +75,16 @@ def test_bernoulli_mask_extremes():
     assert s.bernoulli_mask(100, F(1)).all()
 
 
+@pytest.mark.parametrize("p", [F(0), F(1), F(1, 3)])
+def test_bernoulli_mask_takes_n_words_at_every_p(p):
+    # the mask uses n words of the stream whatever p is, so the next draw
+    # is the one that follows n raw words
+    n, k = 37, 5
+    s = SubStream(3, 2)
+    s.bernoulli_mask(n, p)
+    assert np.array_equal(s.raw(k), SubStream(3, 2).raw(n + k)[n:])
+
+
 def test_bernoulli_mask_rate():
     hits = 0
     for t in range(40):
