@@ -1,17 +1,22 @@
 """Linear codes from check matrices: encoding, decoding, and error bounds.
 
-One erasure decoder serves every field.  Over GF(2), on a check matrix
-made of transform rows, it decodes by successive cancellation
-(``fields._sc_decode``) and keeps the result only after checking it
-against the received word and the checks; every other case solves for
-the erased coordinates from the syndrome with ``fields._solve_columns``,
-on the check matrix's cached columns.  It fails exactly when the
-check-matrix columns at the erased positions are linearly dependent,
-and the simulator verifies that equivalence on every trial through a
-separate oracle, ``fields.columns_independent``.  On a check matrix of
-transform rows the oracle peels on the butterfly graph and eliminates
-only the columns peeling leaves open, so it shares no certificate with
-the decoder.
+One erasure decoder serves every field.  Over GF(2) its body is
+``fields._erasure_decode``, on Python ints: the received word and the
+erased set as one flag int.  On a check matrix made of transform rows
+it decodes by successive cancellation (``fields._sc_decode``, on a node
+plan cached with the matrix) and keeps the result only after checking
+it against the received word and the checks; otherwise it solves from
+the syndrome on the check matrix's cached column ints.  Other fields
+solve for the erased coordinates with ``fields._solve_columns``.  The
+decoder fails exactly when the check-matrix columns at the erased
+positions are linearly dependent, and the simulator verifies that
+equivalence on every trial through a separate oracle, whose one body is
+``fields._flags_independent`` (``columns_independent`` is its public
+adapter).  On a check matrix of transform rows the oracle peels on the
+butterfly graph and eliminates only the columns peeling leaves open, so
+it shares no certificate with the decoder.  A GF(2) trial of
+``mec_error_rate`` keeps the codeword, the flags and the received word
+as ints from the draws to the verdicts and calls both bodies directly.
 
 The crossing-channel side is exact where it can be: the weight
 enumerator is computed by full codeword enumeration (budgeted), the
@@ -26,10 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import compress
 from math import comb
-from operator import xor
 
 import numpy as np
 
@@ -44,14 +46,16 @@ from .fields import (
     Matrix,
     _as_column_set,
     _bits_int,
+    _erasure_decode,
     _flag_int,
+    _flags_independent,
     _generator,
-    _gf2_transform,
     _int_bits,
     _pack_rows_u8,
     _rows_packed,
-    _sc_decode,
+    _scaled_sum,
     _solve_columns,
+    _xor_at,
     columns_independent,
     kernel,  # noqa: F401 - perfbench/layers.py wraps it here
     matvec,
@@ -122,16 +126,12 @@ def encode(code: LinearCode, message):
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} != k={code.k}")
     if code.field.kind == GF2:
-        return _int_bits(reduce(xor, compress(code.gen_ints, msg.tolist()), 0), code.n)
+        return _int_bits(_xor_at(code.gen_ints, msg), code.n)
     if code.field.kind == GFP:
         # each product is reduced before summing, so no sum overflows int64
         p = code.field.p
         return (msg[:, None] * code.gen._data % p).sum(axis=0) % p
-    acc = zero_vector(code.field, code.n)
-    for coeff, row in zip(msg, code.gen._data):
-        if coeff:
-            acc = [a + coeff * r for a, r in zip(acc, row)]
-    return acc
+    return _scaled_sum(*code.gen._row_vectors(), msg, code.n)
 
 
 def syndrome(code: LinearCode, received):
@@ -164,25 +164,21 @@ def mec_decode(code: LinearCode, output: ChannelOutput) -> DecodeResult:
     symbols those slots hold are ignored, so a "decoded" word always
     satisfies the checks.
 
-    Over GF(2), on a check matrix of transform rows
-    (``Matrix._frozen_rows``), successive cancellation (``_sc_decode``)
-    proposes the codeword c first.  It is taken only when it agrees with
-    y off E and T c is zero on the frozen rows: SC returns a word only
-    when every erased leaf is frozen, so E's columns are independent and
-    c is the one completion.  Every other case solves on the check
-    matrix's cached columns at E (``_solve_columns``), so a trial builds
-    no sub-matrix.
+    Over GF(2) the word and the erased set become ints and
+    ``fields._erasure_decode`` decodes them: successive cancellation
+    first on a check matrix of transform rows, with its word checked,
+    and otherwise a solve on the check matrix's cached column ints.
+    Other fields solve on the check matrix's cached columns at E
+    (``_solve_columns``), so no call builds a sub-matrix.
     """
     filled = vector(code.field, output.symbols)
     erased = _as_column_set(output.flagged, code.n, "erased")
-    n = code.n
-    frozen = code.pcm._frozen_rows() if code.field.kind == GF2 else None
-    if frozen is not None:
-        f = _flag_int(erased, n)
-        known = _bits_int(filled) & ~f
-        c = _sc_decode(known, f, frozen, n)
-        if c is not None and c & ~f == known and not _gf2_transform(c, n) & frozen:
-            return DecodeResult("decoded", _int_bits(c, n), erased)
+    if len(filled) != code.n:
+        raise ValueError(f"received word length {len(filled)} != n={code.n}")
+    if code.field.kind == GF2:
+        f = _flag_int(erased, code.n)
+        status, c = _erasure_decode(code.pcm, _bits_int(filled) & ~f, f)
+        return DecodeResult(status, None if c is None else _int_bits(c, code.n), erased)
     idx = list(erased.zero_based())
     _put(filled, idx, zero_vector(code.field, len(idx)))
     syn = negate_vector(code.field, matvec(code.pcm, filled))
@@ -234,13 +230,20 @@ def mec_error_rate(
     """Monte Carlo erasure-decoding failure rate with a built-in oracle.
 
     Each trial draws a message, encodes, erases, decodes, and also asks
-    the oracle ``columns_independent`` whether the erased columns of the
-    check matrix are dependent.  On a matrix of transform rows the
-    oracle peels on the butterfly graph and eliminates the columns left
-    open, and over GF(2) the decoder runs successive cancellation on the
-    values; otherwise the decoder solves and the oracle eliminates the
-    whole set.  The two verdicts must agree trial by trial;
-    disagreements are counted and reported (and indicate a bug).
+    the oracle whether the erased columns of the check matrix are
+    dependent.  On a matrix of transform rows the oracle peels on the
+    butterfly graph and eliminates the columns left open, and over GF(2)
+    the decoder runs successive cancellation on the values; otherwise
+    the decoder solves and the oracle eliminates the whole set.  The two
+    verdicts must agree trial by trial; disagreements are counted and
+    reported (and indicate a bug).
+
+    Over GF(2) a trial carries the codeword, the erased set (one flag
+    int) and the received word as Python ints, from the same draws
+    ``encode`` and ``mec_transmit`` make, and calls the cores behind
+    ``mec_decode`` and ``columns_independent``
+    (``fields._erasure_decode`` and ``fields._flags_independent``)
+    directly.  Other fields go through the public calls.
 
     Per trial the substream is consumed in a fixed order: message first,
     then the erasure pattern.  Over the rationals the zero codeword is
@@ -250,19 +253,28 @@ def mec_error_rate(
     if trials < 1:
         raise ValueError("need at least one trial")
 
+    pcm, n, k = code.pcm, code.n, code.k
+
     def one_trial(stream: SubStream):
         if code.field.kind == GF2:
-            msg = stream.bits(code.k)
-        elif code.field.kind == GFP:
-            msg = stream.symbols_mod(code.k, code.field.p)
+            # the draws of encode and mec_transmit, carried as ints
+            c = _xor_at(code.gen_ints, stream.bits(k))
+            f = _bits_int(stream.bernoulli_mask(n, pf))
+            status, word = _erasure_decode(pcm, c & ~f, f)
+            fail, wrong = status != "decoded", word != c
+            dep = not _flags_independent(pcm, f)
         else:
-            msg = zero_vector(code.field, code.k)
-        cw = encode(code, msg)
-        out = mec_transmit(code.field, cw, pf, stream)
-        res = mec_decode(code, out)
-        fail = res.status != "decoded"
-        dep = not columns_independent(code.pcm, out.flagged)
-        if not fail and not vectors_equal(res.codeword, cw):
+            if code.field.kind == GFP:
+                msg = stream.symbols_mod(k, code.field.p)
+            else:
+                msg = zero_vector(code.field, k)
+            cw = encode(code, msg)
+            out = mec_transmit(code.field, cw, pf, stream)
+            res = mec_decode(code, out)
+            fail = res.status != "decoded"
+            wrong = not fail and not vectors_equal(res.codeword, cw)
+            dep = not columns_independent(pcm, out.flagged)
+        if not fail and wrong:
             return (True, dep, True)  # decoded to the wrong codeword
         return (fail, dep, fail != dep)
 

@@ -44,13 +44,20 @@ from its entries by rebuilding and comparing (``Matrix._frozen_rows``):
 each row's first nonzero column names the only row of T it can be, and
 the builder's rows at those columns must equal the matrix.  Its kernel
 is the polar code with those rows frozen, and two algorithms on the
-butterfly graph of T serve it.  The GF(2) erasure decoder proposes
-codewords by successive cancellation (``_sc_decode``, values on Python
-ints).  ``columns_independent`` peels instead (``_bp_known``, erasure
-belief propagation, the same over every field): a kernel vector that is
-zero off the selected columns is zero wherever peeling determines it,
-so elimination runs only on the columns peeling leaves open, and every
-other matrix eliminates the whole set.
+butterfly graph of T serve it.  The GF(2) erasure decoder,
+``_erasure_decode``, proposes codewords by successive cancellation
+(``_sc_decode``, values on Python ints).  SC walks a node plan the
+matrix caches (``_sc_plan``): nodes whose frozen leaves are all, none,
+all but the last (repetition) or only the first (single parity check)
+decode without their children.  The independence oracle,
+``_flags_independent``, peels instead (``_bp_known``, erasure belief
+propagation, the same over every field): a kernel vector that is zero
+off the selected columns is zero wherever peeling determines it, so
+elimination runs only on the columns peeling leaves open, and every
+other matrix eliminates the whole set.  Both bodies take the erased or
+selected set as one flag int (bit j = column j); ``codec.mec_decode``
+and ``columns_independent`` are their adapters, and a GF(2) trial of
+``codec.mec_error_rate`` calls them directly.
 
 Text files are written through ``_write_text``: to a stream, or to a
 path through a sibling temporary file renamed into place, created with
@@ -66,6 +73,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -387,6 +395,11 @@ def _int_bits(v: int, ncols: int) -> np.ndarray:
     return np.unpackbits(by, bitorder="little")[:ncols]
 
 
+def _xor_at(ints, bits: np.ndarray) -> int:
+    """The XOR of ints[j] over the ones j of a 0/1 vector."""
+    return functools.reduce(operator.xor, itertools.compress(ints, bits.tolist()), 0)
+
+
 def _rows_packed(ints, ncols: int) -> np.ndarray:
     """Inverse of _row_ints; returns (len(ints), ceil(ncols/64)) uint64 words."""
     nw = _nwords(ncols)
@@ -544,10 +557,16 @@ class Matrix:
                 cols.setflags(write=False)
                 cv = (list(cols), [1] * self.ncols)
             else:
-                scaled = [_scaled(r[j] for r in self._data) for j in range(self.ncols)]
-                cv = ([v for v, _ in scaled], [d for _, d in scaled])
+                cv = _scaled_vectors([r[j] for r in self._data] for j in range(self.ncols))
             self._cache["colvecs"] = cv
         return cv
+
+    def _row_vectors(self) -> tuple[list[list[int]], list[int]]:
+        """Rows times their scales as ints, with the scales (rational). Cached."""
+        rv = self._cache.get("rowvecs")
+        if rv is None:
+            rv = self._cache["rowvecs"] = _scaled_vectors(self._data)
+        return rv
 
     def _frozen_rows(self) -> int | None:
         """The transform rows this matrix is made of, as a mask, or None.
@@ -570,6 +589,13 @@ class Matrix:
                     frozen = sum(1 << i for i in set(leads))
             self._cache["frozen"] = frozen
         return self._cache["frozen"]
+
+    def _node_plan(self) -> tuple:
+        """``_sc_plan`` of ``_frozen_rows()``, which must not be None. Cached."""
+        plan = self._cache.get("plan")
+        if plan is None:
+            plan = self._cache["plan"] = _sc_plan(self._frozen_rows(), self.ncols)
+        return plan
 
     # -- dunder -------------------------------------------------------
 
@@ -644,6 +670,27 @@ def _scaled(fractions) -> tuple[list[int], int]:
     fr = list(fractions)
     d = math.lcm(*(f.denominator for f in fr))
     return [f.numerator * (d // f.denominator) for f in fr], d
+
+
+def _scaled_vectors(vectors) -> tuple[list[list[int]], list[int]]:
+    """``_scaled`` of each vector: the int vectors, and their scales."""
+    scaled = [_scaled(v) for v in vectors]
+    return [v for v, _ in scaled], [d for _, d in scaled]
+
+
+def _scaled_sum(vecs, scales, coeffs, size: int) -> list[Fraction]:
+    """The sum of coeffs[j] * vecs[j] / scales[j] over the rationals.
+
+    The vectors are ints over their scales (``_scaled_vectors``), so the
+    sum runs on ints over one common denominator and divides once.
+    """
+    terms = [(v, c / d) for v, d, c in zip(vecs, scales, coeffs) if c]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    acc = [0] * size
+    for v, c in terms:
+        k = c.numerator * (den // c.denominator)
+        acc = [a + k * b for a, b in zip(acc, v)]
+    return [Fraction(a, den) for a in acc]
 
 
 def _native(field: FieldSpec, values) -> tuple[object, int]:
@@ -794,36 +841,78 @@ def _flag_int(cs: ColumnSet, n: int) -> int:
     return _bits_int(flags)
 
 
-def _sc_decode(v: int, f: int, frozen: int, n: int) -> int | None:
+def _bit_indices(v: int, n: int) -> list[int]:
+    """The set bits of an n-bit int, ascending."""
+    return np.flatnonzero(_int_bits(v, n)).tolist()
+
+
+# node kinds of an SC plan: frozen leaves all, none, all but the last
+# (repetition), only the first (single parity check), or some other set
+_RATE0, _RATE1, _REP, _SPC, _MIXED = range(5)
+
+
+def _sc_plan(frozen: int, n: int) -> tuple:
+    """The node tree ``_sc_decode`` walks for the frozen mask ``frozen``.
+
+    A node whose n leaves are all frozen, or none, or all but the last,
+    or only the first, is a leaf of the plan: its code is {0}, every
+    word, the repetition code, or the even-weight words (u_0 is the sum
+    of x, u_{n-1} is x_{n-1}), and its erasure decoding needs no children
+    (simplified SC, Alamdar-Yazdi and Kschischang 2011; Sarkis et al.
+    2014).  Any other node is (_MIXED, h, low-half mask, left, right).
+    """
+    full = (1 << n) - 1
+    if frozen == full:
+        return (_RATE0,)
+    if not frozen:
+        return (_RATE1,)
+    if frozen == full >> 1:
+        return (_REP, full)
+    if frozen == 1:
+        return (_SPC,)
+    h = n >> 1
+    lo = full >> h
+    return (_MIXED, h, lo, _sc_plan(frozen & lo, h), _sc_plan(frozen >> h, h))
+
+
+def _sc_decode(v: int, f: int, plan: tuple) -> int | None:
     """Successive-cancellation erasure decoding of x over GF(2).
 
-    ``v`` holds x with the flagged coordinates ``f`` cleared, and u_i = 0
-    for i in ``frozen``.  Split x by the top index bit h into a (bit
-    clear) and b (bit set): u's half with bit h clear is the transform of
-    a + b, erased where a or b is, and u's other half is the transform of
-    b.  Once a + b is decoded, b is known where b is, or where a is (any
-    two of a, b and a + b give the third), so it stays erased where both
-    are.  Returns x, or None when some flagged leaf u_i is not frozen.
-    Fully known and fully frozen nodes never read the data, so on a word
-    that is not a codeword the result is not a solution: check it.
+    ``v`` holds x off the flagged coordinates ``f`` (whatever it holds on
+    them is ignored), and u_i = 0 for i frozen in ``plan``
+    (``_sc_plan``).  Split x by the top index bit h into a (bit clear)
+    and b (bit set): u's half with bit h clear is the transform of a + b,
+    erased where a or b is, and u's other half is the transform of b.
+    Once a + b is decoded, b is known where b is, or where a is (any two
+    of a, b and a + b give the third), so it stays erased where both are.
+    A child's word holds junk from that XOR on its erased bits, so the
+    repetition and parity leaves read only v & ~f.  Returns x, or None
+    when some flagged leaf u_i is not frozen.  Fully known and fully
+    frozen nodes never read the data, so on a word that is not a codeword
+    the result is not a solution: check it.
     """
     if not f:
         return v
-    full = (1 << n) - 1
-    if frozen == full:
+    kind = plan[0]
+    if kind == _MIXED:
+        _, h, lo, left, right = plan
+        va, vb, fa, fb = v & lo, v >> h, f & lo, f >> h
+        c1 = _sc_decode(va ^ vb, fa | fb, left)
+        if c1 is None:
+            return None
+        c2 = _sc_decode(vb ^ ((vb ^ va ^ c1) & fb & ~fa), fa & fb, right)
+        if c2 is None:
+            return None
+        return (c1 ^ c2) | (c2 << h)
+    if kind == _RATE0:
         return 0
-    if not frozen:
-        return None
-    h = n >> 1
-    lo = full >> h
-    va, vb, fa, fb = v & lo, v >> h, f & lo, f >> h
-    c1 = _sc_decode(va ^ vb, fa | fb, frozen & lo, h)
-    if c1 is None:
-        return None
-    c2 = _sc_decode(vb ^ ((vb ^ va ^ c1) & fb & ~fa), fa & fb, frozen >> h, h)
-    if c2 is None:
-        return None
-    return (c1 ^ c2) | (c2 << h)
+    if kind == _REP:
+        full = plan[1]
+        return None if f == full else full if v & ~f else 0
+    if kind == _SPC and not f & (f - 1):
+        x = v & ~f
+        return x | f if x.bit_count() & 1 else x
+    return None
 
 
 def _bp_known(f: int, frozen: int, n: int) -> int:
@@ -891,30 +980,33 @@ def select_columns(m: Matrix, cols) -> Matrix:
 
 
 def columns_independent(m: Matrix, cols) -> bool:
-    """Whether the selected columns are linearly independent.
-
-    When m is made of transform rows (``Matrix._frozen_rows``), peeling
-    on the butterfly graph (``_bp_known``) first determines what it can
-    of a kernel vector that is zero off the set, and every such value is
-    zero.  So the set is independent exactly when its columns that
-    peeling leaves open are, and elimination runs on those alone, over
-    every field.  Other matrices eliminate the whole set.
-    """
+    """Whether the selected columns are linearly independent
+    (``_flags_independent`` on their flag int)."""
     cs = _as_column_set(cols, m.ncols)
-    if len(cs) > m.nrows:
+    return _flags_independent(m, _flag_int(cs, m.ncols))
+
+
+def _flags_independent(m: Matrix, f: int) -> bool:
+    """Whether the columns of m at the set bits of ``f`` are independent.
+
+    The one oracle body, over every field.  When m is made of transform
+    rows (``Matrix._frozen_rows``), peeling on the butterfly graph
+    (``_bp_known``) first determines what it can of a kernel vector that
+    is zero off the set, and every such value is zero.  So the set is
+    independent exactly when its columns that peeling leaves open are,
+    and elimination runs on those alone.  Other matrices eliminate the
+    whole set.
+    """
+    if f.bit_count() > m.nrows:
         return False
     frozen = m._frozen_rows()
-    if frozen is None:
-        idx = cs.zero_based()
-    else:
-        f = _flag_int(cs, m.ncols)
-        rest = f & ~_bp_known(f, frozen, m.ncols)
-        if not rest:
+    if frozen is not None:
+        f &= ~_bp_known(f, frozen, m.ncols)
+        if not f:
             return True
-        idx = np.flatnonzero(_int_bits(rest, m.ncols)).tolist()
     make_basis, vecs = independence_tracker(m)
     basis = make_basis()
-    return all(basis.insert(vecs[j]) for j in idx)
+    return all(basis.insert(vecs[j]) for j in _bit_indices(f, m.ncols))
 
 
 def kernel(m: Matrix) -> KernelBasis:
@@ -980,6 +1072,36 @@ def _solve_columns(m: Matrix, idx, y):
     return len(pivots), True, negate_vector(m.field, relations[-1][:k])
 
 
+def _erasure_decode(m: Matrix, y: int, f: int) -> tuple[str, int | None]:
+    """Fill the flagged coordinates ``f`` of a GF(2) word: the one body
+    of erasure decoding over GF(2).
+
+    ``y`` is the received word with its flagged bits cleared.  Returns
+    (status, codeword or None), status as in ``codec.DecodeResult``.
+    When m is made of transform rows, successive cancellation
+    (``_sc_decode``) proposes c, taken only when it agrees with y off f
+    and T c is zero on the frozen rows: SC returns a word only when every
+    erased leaf is frozen, so the flagged columns are independent and c
+    is the one completion.  Every other case solves for the flagged
+    coordinates from the syndrome, the XOR of m's cached columns at y's
+    bits (``_gf2core.solve_packed``).
+    """
+    n = m.ncols
+    frozen = m._frozen_rows()
+    if frozen is not None:
+        c = _sc_decode(y, f, m._node_plan())
+        if c is not None and c & ~f == y and not _gf2_transform(c, n) & frozen:
+            return "decoded", c
+    cols = m._column_ints()
+    idx = _bit_indices(f, n)
+    rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _xor_at(cols, _int_bits(y, n)))
+    if not ok:
+        return "inconsistent", None
+    if rk < len(idx):
+        return "ambiguous", None
+    return "decoded", y | sum(1 << j for i, j in enumerate(idx) if x >> i & 1)
+
+
 def solve_full(m: Matrix, y):
     """Solve m @ x = y with free variables set to zero.
 
@@ -1002,11 +1124,7 @@ def matvec(m: Matrix, x):
         if xv.shape[0] != m.ncols:
             raise ValueError("vector length does not match ncols")
         # the sum of the cached columns at x's ones
-        cols = m._column_ints()
-        acc = 0
-        for j in np.flatnonzero(xv).tolist():
-            acc ^= cols[j]
-        return _int_bits(acc, m.nrows)
+        return _int_bits(_xor_at(m._column_ints(), xv), m.nrows)
     if m.field.kind == GFP:
         xv = np.asarray(vector(m.field, x), np.int64)
         if xv.shape[0] != m.ncols:
@@ -1021,15 +1139,7 @@ def matvec(m: Matrix, x):
     xv = vector(m.field, x)
     if len(xv) != m.ncols:
         raise ValueError("vector length does not match ncols")
-    # column j is cols[j] / scales[j]: sum the ints over a common denominator
-    cols, scales = m._column_vectors()
-    coeffs = [(j, v / scales[j]) for j, v in enumerate(xv) if v]
-    den = math.lcm(*(c.denominator for _, c in coeffs))
-    acc = [0] * m.nrows
-    for j, c in coeffs:
-        k = c.numerator * (den // c.denominator)
-        acc = [a + k * b for a, b in zip(acc, cols[j])]
-    return [Fraction(a, den) for a in acc]
+    return _scaled_sum(*m._column_vectors(), xv, m.nrows)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

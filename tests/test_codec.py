@@ -33,13 +33,14 @@ from highgirth import (
     syndrome,
     union_bound_bsc,
     union_bound_mec,
+    vandermonde,
     weight_enumerator,
 )
 from highgirth import codec, fields
 from highgirth.channels import ChannelOutput, bsc_transmit
 from highgirth.codec import render_report
 from highgirth.fields import EnumerationBudget, negate_vector, vector, vectors_equal
-from highgirth.montecarlo import SubStream
+from highgirth.montecarlo import RNG_ID, SubStream, wilson_interval
 
 F = Fraction
 GF2 = FieldSpec.gf2()
@@ -153,6 +154,29 @@ def test_encode_is_the_message_combination_of_generator_rows(field):
             assert cw.tolist() == [v % q for v in want]
 
 
+def test_rational_encode_is_the_fraction_row_sum():
+    # ℚ encode sums the generator's integer-scaled rows over one common
+    # denominator; it must equal the plain Fraction sum, zero message too
+    rng = random.Random(154)
+    pcms = [
+        check_matrix(64, F(1, 2), SelectionSpec.top(26), RAT).matrix,
+        vandermonde(RAT, 4, [F(j * j, 3) for j in range(1, 13)]),
+    ]
+    for pcm in pcms:
+        code = code_from_pcm(pcm)
+        rows = code.gen.to_rows()
+        messages = [[F(0)] * code.k, [F(1)] + [F(0)] * (code.k - 1)]
+        messages += [[F(rng.randrange(-9, 10), rng.randrange(1, 12)) for _ in range(code.k)] for _ in range(3)]
+        for msg in messages:
+            want = [F(0)] * code.n
+            for m, r in zip(msg, rows):
+                want = [a + m * b for a, b in zip(want, r)]
+            cw = encode(code, msg)
+            assert cw == want and all(type(v) is F for v in cw)
+            assert not any(syndrome(code, cw))
+    assert any(v.denominator > 1 for r in rows for v in r)  # the Vandermonde code's
+
+
 def test_encode_rejects_wrong_length():
     code = repetition_code(4)
     with pytest.raises(ValueError):
@@ -219,14 +243,13 @@ def test_mec_decode_stays_apart_from_the_oracle_certificate(monkeypatch):
     assert out.flagged
     with monkeypatch.context() as mp:
         mp.setattr(fields, "_bp_known", refuse("_bp_known"))
-        mp.setattr(codec, "_sc_decode", counted("_sc_decode", fields._sc_decode))
+        mp.setattr(fields, "_sc_decode", counted("_sc_decode", fields._sc_decode))
         res = mec_decode(code, out)
     assert res.status == "decoded" and vectors_equal(res.codeword, cw)
-    assert used == ["_sc_decode"]
+    assert set(used) == {"_sc_decode"}  # one entry per node SC visits
     used.clear()
     with monkeypatch.context() as mp:
         mp.setattr(fields, "_sc_decode", refuse("_sc_decode"))
-        mp.setattr(codec, "_sc_decode", refuse("_sc_decode"))
         mp.setattr(fields, "_bp_known", counted("_bp_known", fields._bp_known))
         assert columns_independent(code.pcm, out.flagged)
     assert used == ["_bp_known"]
@@ -442,6 +465,66 @@ def test_mec_error_rate_report_shape():
     text = render_report(rep)
     assert text.endswith("\n")
     assert json.loads(text) == rep
+
+
+def reference_mec_error_rate(code, p, trials, seed):
+    """mec_error_rate's report, from a trial loop on the public calls."""
+    failures = dependent = mismatches = 0
+    for t in range(trials):
+        stream = SubStream(seed, t)
+        cw = encode(code, stream.bits(code.k))
+        out = mec_transmit(code.field, cw, p, stream)
+        res = mec_decode(code, out)
+        fail = res.status != "decoded"
+        dep = not columns_independent(code.pcm, out.flagged)
+        if not fail and not vectors_equal(res.codeword, cw):
+            fail = mismatch = True
+        else:
+            mismatch = fail != dep
+        failures += fail
+        dependent += dep
+        mismatches += mismatch
+    lo, hi = wilson_interval(failures, trials)
+    return {
+        "code": {"n": code.n, "k": code.k, "field": code.field.name(), "selection": None},
+        "channel": "mec",
+        "p": str(p),
+        "p_float": float(p),
+        "trials": trials,
+        "seed": seed,
+        "rng_id": RNG_ID,
+        "failures": failures,
+        "p_hat": failures / trials,
+        "ci_lo": lo,
+        "ci_hi": hi,
+        "bounds": None,
+        "dependence_events": dependent,
+        "dependence_rate": dependent / trials,
+        "mismatches": mismatches,
+    }
+
+
+def test_mec_error_rate_gf2_equals_the_public_trial_loop():
+    # the GF(2) trials run on ints through the decoder and oracle cores;
+    # the report must equal, key for key, the one the public calls give
+    top26 = check_matrix(64, F(1, 2), SelectionSpec.top(26)).matrix
+    perm = random.Random(64).sample(range(64), 64)
+    permuted = Matrix.from_rows(GF2, [[row[j] for j in perm] for row in top26.to_rows()])
+    assert permuted._frozen_rows() is None
+    pcms = [top26, check_matrix(256, F(1, 2), SelectionSpec.top(102)).matrix, permuted]
+    failed, decoded = set(), set()
+    for i, pcm in enumerate(pcms):
+        code = code_from_pcm(pcm)
+        for p in (F(0), F(1, 5), F(1, 2), F(1)):
+            for seed in (1, 29, 2**63 + 5):
+                rep = mec_error_rate(code, p, 30, seed)
+                want = reference_mec_error_rate(code, p, 30, seed)
+                assert list(rep.items()) == list(want.items()), (pcm.ncols, p, seed)
+                if rep["failures"]:
+                    failed.add(i)
+                if rep["failures"] < 30:
+                    decoded.add(i)
+    assert failed == decoded == {0, 1, 2}
 
 
 # ---------------------------------------------------------------- ml / bsc

@@ -31,11 +31,13 @@ from highgirth import (
     write_matrix,
 )
 from highgirth import _gf2core as core
+from highgirth import fields
 from highgirth.fields import (
     BitBasis,
     VectorBasis,
     _bp_known,
     _sc_decode,
+    _sc_plan,
     independence_tracker,
     vector,
     vectors_equal,
@@ -781,8 +783,51 @@ def test_sc_decode_succeeds_exactly_on_certified_leaves():
             certified = sc_certified(n, frozen)
             pats = range(1 << n) if n <= 8 else rng.sample(range(1 << n), 3000)
             for f in pats:
-                got = _sc_decode(0, f, mask(frozen), n)
+                got = _sc_decode(0, f, _sc_plan(mask(frozen), n))
                 assert got == (0 if certified[f] else None), (n, frozen, f)
+
+
+def test_sc_node_plan_matches_subset_solve_exhaustive_n8():
+    # all 256 frozen masks and all 256 erasure patterns: SC on the cached
+    # node plan returns the codeword exactly on the SC-certified patterns,
+    # the word _solve_columns gives, and None elsewhere, whether the
+    # erased slots of the received word are zeroed or hold junk; the
+    # decoder core gives _solve_columns's verdict and word on every one
+    n = 8
+    rng = random.Random(808)
+    kinds = set()
+    for frozen_mask in range(1 << n):
+        frozen = [i for i in range(n) if frozen_mask >> i & 1]
+        pcm = fields._transform_rows(GF2, n, frozen)
+        assert pcm._frozen_rows() == frozen_mask
+        plan = pcm._node_plan()
+        assert plan == fields._sc_plan(frozen_mask, n)
+        kinds.add(plan[0])
+        gen_ints = fields._generator(pcm)[1]
+        cols = pcm._column_ints()
+        certified = sc_certified(n, frozen)
+        for f in range(1 << n):
+            c = 0
+            for g in gen_ints:
+                c ^= g * rng.randrange(2)
+            y = c & ~f
+            idx = [j for j in range(n) if f >> j & 1]
+            syn = 0
+            for j in range(n):
+                if y >> j & 1:
+                    syn ^= cols[j]
+            rk, ok, x = fields._solve_columns(pcm, idx, fields._int_bits(syn, pcm.nrows))
+            assert ok
+            want = None
+            if rk == len(idx):
+                want = y | sum(1 << j for i, j in enumerate(idx) if x[i])
+                assert want == c
+            for received in (y, y | (rng.randrange(1 << n) & f)):
+                got = fields._sc_decode(received, f, plan)
+                assert got == (want if certified[f] else None), (frozen_mask, f, received)
+            status = "decoded" if want is not None else "ambiguous"
+            assert fields._erasure_decode(pcm, y, f) == (status, want), (frozen_mask, f)
+    assert kinds == {fields._RATE0, fields._RATE1, fields._REP, fields._SPC, fields._MIXED}
 
 
 def test_sc_certificate_is_sound_gf2_n16():
