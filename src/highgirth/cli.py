@@ -61,15 +61,6 @@ EXACT_PROFILE_MANDATORY = 1 << 8
 EXACT_PROFILE_DEFAULT_CAP = 1 << 10
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("HIGHGIRTH_THREADS", "1")
-    try:
-        t = int(raw)
-    except ValueError:
-        return 1
-    return max(1, t)
-
-
 def _emit(report: dict, json_path: str | None) -> None:
     text = json.dumps(report, indent=2) + "\n"
     sys.stdout.write(text)
@@ -290,10 +281,9 @@ def _add_threads(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
+        default=1,
         help="accepted for compatibility; trials run in order on one thread, "
-        "so the count changes neither output nor speed (default from "
-        "HIGHGIRTH_THREADS, else 1)",
+        "so the count changes neither output nor speed (default 1)",
     )
 
 

@@ -1,22 +1,24 @@
 """Linear codes from check matrices: encoding, decoding, and error bounds.
 
-One erasure decoder serves every field.  Over GF(2) its body is
-``fields._erasure_decode``, on Python ints: the received word and the
-erased set as one flag int.  On a check matrix made of transform rows
-it decodes by successive cancellation (``fields._sc_decode``, on a node
-plan cached with the matrix) and keeps the result only after checking
-it against the received word and the checks; otherwise it solves from
-the syndrome on the check matrix's cached column ints.  Other fields
-solve for the erased coordinates with ``fields._solve_columns``.  The
-decoder fails exactly when the check-matrix columns at the erased
-positions are linearly dependent, and the simulator verifies that
-equivalence on every trial through a separate oracle, whose one body is
-``fields._flags_independent`` (``columns_independent`` is its public
-adapter).  On a check matrix of transform rows the oracle peels on the
-butterfly graph and eliminates only the columns peeling leaves open, so
-it shares no certificate with the decoder.  A GF(2) trial of
-``mec_error_rate`` keeps the codeword, the flags and the received word
-as ints from the draws to the verdicts and calls both bodies directly.
+One erasure decoder serves every field.  Its one body is
+``fields._erasure_decode``, which takes the received word in the
+field's own form (a Python int over GF(2)) and the erased set as one
+flag int; ``mec_decode`` is its adapter.  Over GF(2), on a check matrix
+made of transform rows, it decodes by successive cancellation
+(``fields._sc_decode``, on a node plan cached with the matrix) and keeps
+the result only after checking it against the received word and the
+checks; every other case solves for the erased coordinates from the
+syndrome on the check matrix's cached columns
+(``fields._solve_columns``).  The decoder fails exactly when the
+check-matrix columns at the erased positions are linearly dependent,
+and the simulator verifies that equivalence on every trial through a
+separate oracle, whose one body is ``fields._flags_independent``
+(``columns_independent`` is its public adapter).  On a check matrix of
+transform rows the oracle peels on the butterfly graph and eliminates
+only the columns peeling leaves open, so it shares no certificate with
+the decoder.  A trial of ``mec_error_rate`` keeps the codeword in its
+field's own form and the erased set as a flag int from the draws to the
+verdicts, and calls both bodies directly.
 
 The crossing-channel side is exact where it can be: the weight
 enumerator is computed by full codeword enumeration (budgeted), the
@@ -35,8 +37,9 @@ from math import comb
 
 import numpy as np
 
-from .channels import ChannelOutput, bhattacharyya_upper, mec_transmit
+from .channels import ChannelOutput, bhattacharyya_upper
 from .channels import bsc_transmit  # noqa: F401 - perfbench/layers.py wraps it here
+from .channels import mec_transmit  # noqa: F401 - perfbench/layers.py wraps it here
 from .fields import (
     GF2,
     GFP,
@@ -54,12 +57,10 @@ from .fields import (
     _pack_rows_u8,
     _rows_packed,
     _scaled_sum,
-    _solve_columns,
     _xor_at,
-    columns_independent,
+    columns_independent,  # noqa: F401 - perfbench/layers.py wraps it here
     kernel,  # noqa: F401 - perfbench/layers.py wraps it here
     matvec,
-    negate_vector,
     parse_probability,
     select_columns,  # noqa: F401 - perfbench/layers.py wraps it here
     solve_full,  # noqa: F401 - perfbench/layers.py wraps it here
@@ -162,46 +163,25 @@ def mec_decode(code: LinearCode, output: ChannelOutput) -> DecodeResult:
     The erased slots get x with H_E @ x = -H @ y, E the erased positions
     and y the received word with its erased slots zeroed: whatever
     symbols those slots hold are ignored, so a "decoded" word always
-    satisfies the checks.
-
-    Over GF(2) the word and the erased set become ints and
-    ``fields._erasure_decode`` decodes them: successive cancellation
-    first on a check matrix of transform rows, with its word checked,
-    and otherwise a solve on the check matrix's cached column ints.
-    Other fields solve on the check matrix's cached columns at E
-    (``_solve_columns``), so no call builds a sub-matrix.
+    satisfies the checks.  The word is canonicalized with ``vector`` and
+    the erased set made a flag int; ``fields._erasure_decode`` decodes
+    them (over GF(2) on ints, successive cancellation first on a check
+    matrix of transform rows).
     """
-    filled = vector(code.field, output.symbols)
+    word = vector(code.field, output.symbols)
     erased = _as_column_set(output.flagged, code.n, "erased")
-    if len(filled) != code.n:
-        raise ValueError(f"received word length {len(filled)} != n={code.n}")
-    if code.field.kind == GF2:
-        f = _flag_int(erased, code.n)
-        status, c = _erasure_decode(code.pcm, _bits_int(filled) & ~f, f)
-        return DecodeResult(status, None if c is None else _int_bits(c, code.n), erased)
-    idx = list(erased.zero_based())
-    _put(filled, idx, zero_vector(code.field, len(idx)))
-    syn = negate_vector(code.field, matvec(code.pcm, filled))
-    rk, consistent, x = _solve_columns(code.pcm, idx, syn)
-    if not consistent:
-        return DecodeResult("inconsistent", None, erased)
-    if rk < len(idx):
-        return DecodeResult("ambiguous", None, erased)
-    _put(filled, idx, x)
-    return DecodeResult("decoded", filled, erased)
+    if len(word) != code.n:
+        raise ValueError(f"received word length {len(word)} != n={code.n}")
+    gf2 = code.field.kind == GF2
+    status, c = _erasure_decode(code.pcm, _bits_int(word) if gf2 else word, _flag_int(erased, code.n))
+    if gf2 and c is not None:
+        c = _int_bits(c, code.n)
+    return DecodeResult(status, c, erased)
 
 
-def _put(word, idx: list[int], values) -> None:
-    """word[i] = v for i, v in zip(idx, values), on an array or a list."""
-    if isinstance(word, np.ndarray):
-        word[idx] = values
-    else:
-        for pos, val in zip(idx, values):
-            word[pos] = val
-
-
-def _report_skeleton(code: LinearCode, channel: str, pf: Fraction, trials: int, seed: int, selection) -> dict:
+def _report(code: LinearCode, channel: str, pf: Fraction, trials: int, seed: int, selection, failures: int, bounds) -> dict:
     # key order is part of the report contract; extras append at the end
+    lo, hi = wilson_interval(failures, trials)
     return {
         "code": {
             "n": code.n,
@@ -215,6 +195,11 @@ def _report_skeleton(code: LinearCode, channel: str, pf: Fraction, trials: int, 
         "trials": trials,
         "seed": seed,
         "rng_id": RNG_ID,
+        "failures": failures,
+        "p_hat": failures / trials,
+        "ci_lo": lo,
+        "ci_hi": hi,
+        "bounds": bounds,
     }
 
 
@@ -238,62 +223,44 @@ def mec_error_rate(
     verdicts must agree trial by trial; disagreements are counted and
     reported (and indicate a bug).
 
-    Over GF(2) a trial carries the codeword, the erased set (one flag
-    int) and the received word as Python ints, from the same draws
-    ``encode`` and ``mec_transmit`` make, and calls the cores behind
+    A trial carries the codeword in its field's own form (an int over
+    GF(2)) and the erased set as one flag int, and calls the cores behind
     ``mec_decode`` and ``columns_independent``
     (``fields._erasure_decode`` and ``fields._flags_independent``)
-    directly.  Other fields go through the public calls.
+    directly, with the draws ``encode`` and ``mec_transmit`` would make.
 
-    Per trial the substream is consumed in a fixed order: message first,
-    then the erasure pattern.  Over the rationals the zero codeword is
-    sent (failure is codeword-independent for a linear code).
+    Per trial the substream is consumed in a fixed order: message first
+    (``symbols_mod``, which at q = 2 gives the words and values of
+    ``bits``), then the erasure pattern.  Over the rationals the zero
+    codeword is sent (failure is codeword-independent for a linear code).
     """
     pf = parse_probability(p, "p")
     if trials < 1:
         raise ValueError("need at least one trial")
 
-    pcm, n, k = code.pcm, code.n, code.k
+    pcm, n, k, q = code.pcm, code.n, code.k, code.field.order
+    gf2 = code.field.kind == GF2
 
     def one_trial(stream: SubStream):
-        if code.field.kind == GF2:
-            # the draws of encode and mec_transmit, carried as ints
-            c = _xor_at(code.gen_ints, stream.bits(k))
-            f = _bits_int(stream.bernoulli_mask(n, pf))
-            status, word = _erasure_decode(pcm, c & ~f, f)
-            fail, wrong = status != "decoded", word != c
-            dep = not _flags_independent(pcm, f)
-        else:
-            if code.field.kind == GFP:
-                msg = stream.symbols_mod(k, code.field.p)
-            else:
-                msg = zero_vector(code.field, k)
-            cw = encode(code, msg)
-            out = mec_transmit(code.field, cw, pf, stream)
-            res = mec_decode(code, out)
-            fail = res.status != "decoded"
-            wrong = not fail and not vectors_equal(res.codeword, cw)
-            dep = not columns_independent(pcm, out.flagged)
-        if not fail and wrong:
+        msg = stream.symbols_mod(k, q) if q else zero_vector(code.field, k)
+        c = _xor_at(code.gen_ints, msg) if gf2 else encode(code, msg)
+        f = _bits_int(stream.bernoulli_mask(n, pf))
+        status, word = _erasure_decode(pcm, c, f)
+        fail = status != "decoded"
+        dep = not _flags_independent(pcm, f)
+        if not fail and not vectors_equal(word, c):
             return (True, dep, True)  # decoded to the wrong codeword
         return (fail, dep, fail != dep)
 
     results = run_trials(trials, one_trial, seed, threads)
     failures = sum(1 for f, _, _ in results if f)
     dep_events = sum(1 for _, d, _ in results if d)
-    mismatches = sum(1 for _, _, mm in results if mm)
-    lo, hi = wilson_interval(failures, trials)
-    report = _report_skeleton(code, "mec", pf, trials, seed, selection)
+    report = _report(code, "mec", pf, trials, seed, selection, failures, bounds)
     report.update(
         {
-            "failures": failures,
-            "p_hat": failures / trials,
-            "ci_lo": lo,
-            "ci_hi": hi,
-            "bounds": bounds,
             "dependence_events": dep_events,
             "dependence_rate": dep_events / trials,
-            "mismatches": mismatches,
+            "mismatches": sum(1 for _, _, mm in results if mm),
         }
     )
     return report
@@ -523,18 +490,7 @@ def bsc_error_rate(
                 e ^= gens[a + (t & -t).bit_length() - 1]
             hits = hits + (_weights(e[:, None] ^ low) <= we).sum(1)
         errors += int(np.count_nonzero(hits > 1))
-    lo, hi = wilson_interval(errors, trials)
-    report = _report_skeleton(code, "bsc", pf, trials, seed, selection)
-    report.update(
-        {
-            "failures": errors,
-            "p_hat": errors / trials,
-            "ci_lo": lo,
-            "ci_hi": hi,
-            "bounds": bounds,
-        }
-    )
-    return report
+    return _report(code, "bsc", pf, trials, seed, selection, errors, bounds)
 
 
 # no array in a bsc_error_rate block holds more words, unless one trial does

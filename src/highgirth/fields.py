@@ -44,9 +44,10 @@ from its entries by rebuilding and comparing (``Matrix._frozen_rows``):
 each row's first nonzero column names the only row of T it can be, and
 the builder's rows at those columns must equal the matrix.  Its kernel
 is the polar code with those rows frozen, and two algorithms on the
-butterfly graph of T serve it.  The GF(2) erasure decoder,
-``_erasure_decode``, proposes codewords by successive cancellation
-(``_sc_decode``, values on Python ints).  SC walks a node plan the
+butterfly graph of T serve it.  The erasure decoder, ``_erasure_decode``,
+is one body over every field; over GF(2) it proposes codewords by
+successive cancellation (``_sc_decode``, values on Python ints), and it
+solves on the cached columns otherwise.  SC walks a node plan the
 matrix caches (``_sc_plan``): nodes whose frozen leaves are all, none,
 all but the last (repetition) or only the first (single parity check)
 decode without their children.  The independence oracle,
@@ -56,7 +57,7 @@ off the selected columns is zero wherever peeling determines it, so
 elimination runs only on the columns peeling leaves open, and every
 other matrix eliminates the whole set.  Both bodies take the erased or
 selected set as one flag int (bit j = column j); ``codec.mec_decode``
-and ``columns_independent`` are their adapters, and a GF(2) trial of
+and ``columns_independent`` are their adapters, and every trial of
 ``codec.mec_error_rate`` calls them directly.
 
 Text files are written through ``_write_text``: to a stream, or to a
@@ -335,7 +336,7 @@ def _residue(v, q: int) -> int:
         if v.denominator != 1:
             raise ValueError(f"{v} is not an integer residue")
         v = v.numerator
-    if isinstance(v, (bool, float)):
+    if isinstance(v, (bool, float, np.floating)):
         raise TypeError(f"bad GF({q}) element {v!r}")
     return int(v) % q
 
@@ -644,9 +645,10 @@ def zero_vector(field: FieldSpec, n: int):
 
 
 def vectors_equal(a, b) -> bool:
+    """Entrywise equality; GF(2) words may also be ints (bit j = entry j)."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return bool(np.array_equal(np.asarray(a), np.asarray(b)))
-    return list(a) == list(b)
+    return a == b if isinstance(a, int) else list(a) == list(b)
 
 
 def negate_vector(field: FieldSpec, v):
@@ -1016,12 +1018,8 @@ def kernel(m: Matrix) -> KernelBasis:
     and supported on the pivots before f (pivots: the columns
     independent of the columns before them).
     """
-    n = m.ncols
-    if m.field.kind == GF2:
-        _, relations, _ = _gf2core.echelon(m._column_ints())
-        return KernelBasis(m.field, n, tuple(_int_bits(r, n) for r in relations))
-    _, relations = _echelon(m.field, *m._column_vectors(), m.nrows)
-    return KernelBasis(m.field, n, tuple(relations))
+    gen, _ = _generator(m)
+    return KernelBasis(m.field, m.ncols, tuple(map(gen.row, range(gen.nrows))))
 
 
 def _generator(m: Matrix) -> tuple[Matrix, tuple[int, ...] | None]:
@@ -1072,34 +1070,58 @@ def _solve_columns(m: Matrix, idx, y):
     return len(pivots), True, negate_vector(m.field, relations[-1][:k])
 
 
-def _erasure_decode(m: Matrix, y: int, f: int) -> tuple[str, int | None]:
-    """Fill the flagged coordinates ``f`` of a GF(2) word: the one body
-    of erasure decoding over GF(2).
+def _erasure_decode(m: Matrix, y, f: int) -> tuple[str, object]:
+    """Fill the flagged coordinates ``f`` of a received word: the one
+    body of erasure decoding, over every field.
 
-    ``y`` is the received word with its flagged bits cleared.  Returns
-    (status, codeword or None), status as in ``codec.DecodeResult``.
-    When m is made of transform rows, successive cancellation
+    ``y`` is the word in the field's own form (an int over GF(2), bit j =
+    entry j; an int64 residue array over GF(p); a list over the
+    rationals), and whatever its flagged slots hold is ignored.  Returns
+    (status, codeword in the same form, or None), status as in
+    ``codec.DecodeResult``; ``y`` itself is not modified.  Over GF(2),
+    when m is made of transform rows, successive cancellation
     (``_sc_decode``) proposes c, taken only when it agrees with y off f
     and T c is zero on the frozen rows: SC returns a word only when every
     erased leaf is frozen, so the flagged columns are independent and c
     is the one completion.  Every other case solves for the flagged
-    coordinates from the syndrome, the XOR of m's cached columns at y's
-    bits (``_gf2core.solve_packed``).
+    coordinates from the syndrome on m's cached columns: over GF(2) on
+    the column ints (``_gf2core.solve_packed``), otherwise with the
+    flagged slots of a copy of y zeroed (``_solve_columns``).
     """
     n = m.ncols
-    frozen = m._frozen_rows()
-    if frozen is not None:
-        c = _sc_decode(y, f, m._node_plan())
-        if c is not None and c & ~f == y and not _gf2_transform(c, n) & frozen:
-            return "decoded", c
-    cols = m._column_ints()
+    gf2 = m.field.kind == GF2
+    if gf2:
+        y &= ~f
+        frozen = m._frozen_rows()
+        if frozen is not None:
+            c = _sc_decode(y, f, m._node_plan())
+            if c is not None and c & ~f == y and not _gf2_transform(c, n) & frozen:
+                return "decoded", c
     idx = _bit_indices(f, n)
-    rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _xor_at(cols, _int_bits(y, n)))
+    if gf2:  # the syndrome is the XOR of the cached columns at y's bits
+        cols = m._column_ints()
+        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _xor_at(cols, _int_bits(y, n)))
+    else:
+        y = y.copy() if isinstance(y, np.ndarray) else list(y)
+        _put(y, idx, zero_vector(m.field, len(idx)))
+        rk, ok, x = _solve_columns(m, idx, negate_vector(m.field, matvec(m, y)))
     if not ok:
         return "inconsistent", None
     if rk < len(idx):
         return "ambiguous", None
-    return "decoded", y | sum(1 << j for i, j in enumerate(idx) if x >> i & 1)
+    if gf2:
+        return "decoded", y | sum(1 << j for i, j in enumerate(idx) if x >> i & 1)
+    _put(y, idx, x)
+    return "decoded", y
+
+
+def _put(word, idx: list[int], values) -> None:
+    """word[i] = v for i, v in zip(idx, values), on an array or a list."""
+    if isinstance(word, np.ndarray):
+        word[idx] = values
+    else:
+        for pos, val in zip(idx, values):
+            word[pos] = val
 
 
 def solve_full(m: Matrix, y):

@@ -130,9 +130,9 @@ class SubStream:
         if q == 1:
             return np.zeros(n, np.int64)
         rem = _WORD % q
-        if rem == 0:  # q divides 2**64: no rejection region
+        if rem == 0:  # q divides 2**64, so no rejection region, and u % q is u & (q - 1)
             u = self._bg.random_raw(n)
-            return (u % np.uint64(q)).astype(np.int64)
+            return (u & np.uint64(q - 1)).astype(np.int64)
         lim = np.uint64(_WORD - rem)
         out = np.empty(n, np.int64)
         filled = 0

@@ -217,11 +217,12 @@ def test_mec_decode_fills_erasures():
             assert hit
 
 
-def test_mec_decode_stays_apart_from_the_oracle_certificate(monkeypatch):
+@pytest.mark.parametrize("field", [GF2, FieldSpec.gfp(3)], ids=str)
+def test_mec_decode_stays_apart_from_the_oracle_certificate(monkeypatch, field):
     # criterion 7 checks the decoder against the oracle, so the two must
-    # share no certificate: the decoder runs successive cancellation and
-    # never peels, and the oracle peels and never runs successive
-    # cancellation
+    # share no certificate: the decoder runs successive cancellation (over
+    # GF(2) only) and never peels, and the oracle peels and never runs
+    # successive cancellation
     used = []
 
     def refuse(name):
@@ -237,16 +238,17 @@ def test_mec_decode_stays_apart_from_the_oracle_certificate(monkeypatch):
 
         return call
 
-    code = code_from_pcm(check_matrix(64, F(1, 2), SelectionSpec.top(26)).matrix)
+    code = code_from_pcm(check_matrix(64, F(1, 2), SelectionSpec.top(26), field).matrix)
     cw = encode(code, [1] * code.k)
-    out = mec_transmit(GF2, cw, F(1, 5), SubStream(3, 0))
+    out = mec_transmit(field, cw, F(1, 5), SubStream(3, 0))
     assert out.flagged
     with monkeypatch.context() as mp:
         mp.setattr(fields, "_bp_known", refuse("_bp_known"))
         mp.setattr(fields, "_sc_decode", counted("_sc_decode", fields._sc_decode))
         res = mec_decode(code, out)
     assert res.status == "decoded" and vectors_equal(res.codeword, cw)
-    assert set(used) == {"_sc_decode"}  # one entry per node SC visits
+    # one entry per node SC visits over GF(2); no SC over other fields
+    assert set(used) == ({"_sc_decode"} if field == GF2 else set())
     used.clear()
     with monkeypatch.context() as mp:
         mp.setattr(fields, "_sc_decode", refuse("_sc_decode"))
@@ -472,7 +474,13 @@ def reference_mec_error_rate(code, p, trials, seed):
     failures = dependent = mismatches = 0
     for t in range(trials):
         stream = SubStream(seed, t)
-        cw = encode(code, stream.bits(code.k))
+        if code.field == GF2:
+            msg = stream.bits(code.k)
+        elif code.field.kind == "gfp":
+            msg = stream.symbols_mod(code.k, code.field.p)
+        else:  # the zero codeword, with no draws
+            msg = [0] * code.k
+        cw = encode(code, msg)
         out = mec_transmit(code.field, cw, p, stream)
         res = mec_decode(code, out)
         fail = res.status != "decoded"
@@ -504,27 +512,36 @@ def reference_mec_error_rate(code, p, trials, seed):
     }
 
 
-def test_mec_error_rate_gf2_equals_the_public_trial_loop():
-    # the GF(2) trials run on ints through the decoder and oracle cores;
-    # the report must equal, key for key, the one the public calls give
-    top26 = check_matrix(64, F(1, 2), SelectionSpec.top(26)).matrix
-    perm = random.Random(64).sample(range(64), 64)
-    permuted = Matrix.from_rows(GF2, [[row[j] for j in perm] for row in top26.to_rows()])
-    assert permuted._frozen_rows() is None
-    pcms = [top26, check_matrix(256, F(1, 2), SelectionSpec.top(102)).matrix, permuted]
+def permuted_columns(m, seed):
+    perm = random.Random(seed).sample(range(m.ncols), m.ncols)
+    pm = Matrix.from_rows(m.field, [[row[j] for j in perm] for row in m.to_rows()])
+    assert pm._frozen_rows() is None
+    return pm
+
+
+def test_mec_error_rate_equals_the_public_trial_loop():
+    # the trials run on the field's own words and one flag int through the
+    # decoder and oracle cores; the report must equal, key for key, the
+    # one the public calls give, on transform rows (SC over GF(2), peeling
+    # in the oracle) and on the same rows with their columns permuted
+    pcms = []
+    for field in (GF2, FieldSpec.gfp(3), GF5, RAT):
+        rows = check_matrix(64, F(1, 2), SelectionSpec.top(26), field).matrix
+        pcms += [rows, permuted_columns(rows, 64)]
+    pcms.append(check_matrix(256, F(1, 2), SelectionSpec.top(102)).matrix)
     failed, decoded = set(), set()
     for i, pcm in enumerate(pcms):
         code = code_from_pcm(pcm)
         for p in (F(0), F(1, 5), F(1, 2), F(1)):
-            for seed in (1, 29, 2**63 + 5):
+            for seed in (1, 29, 2**63 + 5) if pcm.field == GF2 else (29,):
                 rep = mec_error_rate(code, p, 30, seed)
                 want = reference_mec_error_rate(code, p, 30, seed)
-                assert list(rep.items()) == list(want.items()), (pcm.ncols, p, seed)
+                assert list(rep.items()) == list(want.items()), (pcm.field, pcm.ncols, p, seed)
                 if rep["failures"]:
                     failed.add(i)
                 if rep["failures"] < 30:
                     decoded.add(i)
-    assert failed == decoded == {0, 1, 2}
+    assert failed == decoded == set(range(len(pcms)))
 
 
 # ---------------------------------------------------------------- ml / bsc

@@ -666,9 +666,14 @@ def test_gf2_vector_rejects_floats_and_bools():
         vector(GF2, [1, 0.0])
     with pytest.raises(TypeError):
         vector(GF2, [True, 0])
+    with pytest.raises(TypeError):
+        vector(GF2, np.array([1.5, 1.0], np.float32))
 
 
-ENTRIES = [0, 1, 3, -1, -7, 10**30 + 1, "7", "-4", Fraction(4), Fraction(-6, 2), Fraction(1, 2), 1.0, 0.5, True, False]
+ENTRIES = [
+    0, 1, 3, -1, -7, 10**30 + 1, "7", "-4", Fraction(4), Fraction(-6, 2), Fraction(1, 2),
+    1.0, 0.5, np.float32(0.5), np.float16(1.5), True, False,
+]
 
 
 def entry_outcome(f):
@@ -697,6 +702,13 @@ def test_non_integer_entries_are_rejected_over_finite_fields():
             vandermonde(field, 2, [1.0, 0])
         with pytest.raises(ValueError):
             vandermonde(field, 2, [Fraction(3, 2), 0])
+        # numpy floats are refused too, not truncated
+        with pytest.raises(TypeError):
+            vector(field, [np.float32(1.5)])
+        with pytest.raises(TypeError):
+            Matrix.from_rows(field, [[np.float32(0.5), 1]])
+        with pytest.raises(TypeError):
+            vandermonde(field, 2, [np.float16(1.5)])
 
 
 @pytest.mark.parametrize("field", (GF2, GF3, RAT), ids=str)
@@ -785,6 +797,33 @@ def test_sc_decode_succeeds_exactly_on_certified_leaves():
             for f in pats:
                 got = _sc_decode(0, f, _sc_plan(mask(frozen), n))
                 assert got == (0 if certified[f] else None), (n, frozen, f)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_erasure_decode_takes_each_fields_own_word_and_leaves_it_alone(field):
+    # the decoder core reads the word in the field's own form, ignores the
+    # flagged slots, returns the codeword in that form and does not write
+    # into the word it was given (the trial compares against it)
+    pcm = fields._transform_rows(field, 8, [0, 1, 2, 4])
+    gen = fields._generator(pcm)[0]
+    rng = random.Random(88)
+    f = 0b10010010
+    for _ in range(10):
+        c = fields.vector(field, [0] * 8)
+        for r in gen.to_rows():
+            a = rng.randrange(1, 3)
+            c = fields.vector(field, [x + a * v for x, v in zip(c, r)])
+        junk = [v + 1 if f >> j & 1 else v for j, v in enumerate(c)]
+        if field == GF2:
+            want, y = fields._bits_int(c), fields._bits_int(fields.vector(field, junk))
+        else:
+            want, y = c, fields.vector(field, junk)
+        before = y if field == GF2 else (y.copy() if isinstance(y, np.ndarray) else list(y))
+        status, word = fields._erasure_decode(pcm, y, f)
+        assert status == "decoded" and type(word) is type(want)
+        assert fields.vectors_equal(word, want) and fields.vectors_equal(y, before)
+        assert word is not y
+    assert fields._erasure_decode(pcm, y, 0b11111) == ("ambiguous", None)
 
 
 def test_sc_node_plan_matches_subset_solve_exhaustive_n8():

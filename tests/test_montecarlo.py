@@ -111,6 +111,14 @@ def test_bits_and_symbols():
     assert sym.min() >= 0 and sym.max() < 5
     counts = np.bincount(SubStream(3, 3).symbols_mod(9000, 3), minlength=3)
     assert counts.min() > 2700  # roughly uniform
+    # a power of two needs no rejection, so the stream stays where raw
+    # would leave it; at q = 2 the values are those of bits (the erasure
+    # trials rely on it)
+    for q in (2, 4, 1 << 63):
+        a, b = SubStream(5, q % 7), SubStream(5, q % 7)
+        assert (a.symbols_mod(300, q) == b.raw(300) % np.uint64(q)).all()
+        assert a.raw(3).tolist() == b.raw(3).tolist()
+    assert (SubStream(9, 1).symbols_mod(500, 2) == SubStream(9, 1).bits(500)).all()
 
 
 def test_integer_below():
