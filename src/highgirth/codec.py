@@ -18,7 +18,12 @@ transform rows the oracle peels on the butterfly graph and eliminates
 only the columns peeling leaves open, so it shares no certificate with
 the decoder.  A trial of ``mec_error_rate`` keeps the codeword in its
 field's own form and the erased set as a flag int from the draws to the
-verdicts, and calls both bodies directly.
+verdicts, and calls both bodies directly.  Trials run in lane blocks:
+trial t of a block lives in the n bits at offset t * n of one int, the
+oracle peels every lane of the block in one pass, and the decoder runs
+lane by lane.  Over GF(2) on a check matrix of transform rows the
+block's codewords are c = T u, one lane transform, with u zero on the
+frozen rows and the message bits elsewhere.
 
 The crossing-channel side is exact where it can be: the weight
 enumerator is computed by full codeword enumeration (budgeted), the
@@ -53,6 +58,7 @@ from .fields import (
     _flag_int,
     _flags_independent,
     _generator,
+    _gf2_transform,
     _int_bits,
     _pack_rows_u8,
     _rows_packed,
@@ -68,7 +74,8 @@ from .fields import (
     vectors_equal,
     zero_vector,
 )
-from .montecarlo import RNG_ID, SubStream, _raw_words, run_trials, threshold_u64, wilson_interval
+from .montecarlo import RNG_ID, _raw_words, _TrialStream, threshold_u64, wilson_interval
+from .montecarlo import run_trials  # noqa: F401 - perfbench/layers.py wraps it here
 
 __all__ = [
     "LinearCode",
@@ -223,47 +230,86 @@ def mec_error_rate(
     verdicts must agree trial by trial; disagreements are counted and
     reported (and indicate a bug).
 
-    A trial carries the codeword in its field's own form (an int over
-    GF(2)) and the erased set as one flag int, and calls the cores behind
-    ``mec_decode`` and ``columns_independent``
-    (``fields._erasure_decode`` and ``fields._flags_independent``)
-    directly, with the draws ``encode`` and ``mec_transmit`` would make.
+    Trials run in blocks of ``_LANE_BITS // n`` lanes (at least one), and
+    trial t of a block lives in the n bits at offset t * n of one int.
+    The oracle, ``fields._flags_independent``, peels a whole block's
+    erased sets in one pass and eliminates each lane's residue; the
+    decoder, ``fields._erasure_decode``, runs lane by lane on the trial's
+    word in its field's own form (an int over GF(2)) and its flag int.
+    Over GF(2) on a matrix of transform rows the block's codewords are
+    c = T u, one lane transform for the block, with u zero on the frozen
+    rows and the message bits on the others in order, so every c is a
+    codeword; it is not ``encode``'s codeword for the message, but over
+    GF(2) a trial's verdicts depend only on its erased set.  Other GF(2)
+    matrices sum generator rows, GF(p) calls ``encode``, and over the
+    rationals the zero codeword is sent (failure is codeword-independent
+    for a linear code).
 
-    Per trial the substream is consumed in a fixed order: message first
-    (``symbols_mod``, which at q = 2 gives the words and values of
-    ``bits``), then the erasure pattern.  Over the rationals the zero
-    codeword is sent (failure is codeword-independent for a linear code).
+    Trial t draws from the words of ``SubStream(seed, t)`` in a fixed
+    order: message first (``symbols_mod``, which at q = 2 gives the words
+    and values of ``bits``; nothing over the rationals), then the erasure
+    pattern (``bernoulli_mask``).  One generator is moved from trial to
+    trial (``montecarlo._TrialStream``).  ``threads`` must be at least 1
+    and does not change the bytes of the report.
     """
     pf = parse_probability(p, "p")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if threads < 1:
+        raise ValueError("need at least one thread")
+    stream = _TrialStream(seed, 0)
 
     pcm, n, k, q = code.pcm, code.n, code.k, code.field.order
-    gf2 = code.field.kind == GF2
-
-    def one_trial(stream: SubStream):
-        msg = stream.symbols_mod(k, q) if q else zero_vector(code.field, k)
-        c = _xor_at(code.gen_ints, msg) if gf2 else encode(code, msg)
-        f = _bits_int(stream.bernoulli_mask(n, pf))
-        status, word = _erasure_decode(pcm, c, f)
-        fail = status != "decoded"
-        dep = not _flags_independent(pcm, f)
-        if not fail and not vectors_equal(word, c):
-            return (True, dep, True)  # decoded to the wrong codeword
-        return (fail, dep, fail != dep)
-
-    results = run_trials(trials, one_trial, seed, threads)
-    failures = sum(1 for f, _, _ in results if f)
-    dep_events = sum(1 for _, d, _ in results if d)
+    frozen = pcm._frozen_rows() if code.field.kind == GF2 else None
+    if frozen is not None:  # the rows of u that carry the message
+        info = np.flatnonzero(_int_bits(~frozen & ((1 << n) - 1), n))
+    lanes, full = max(1, _LANE_BITS // n), (1 << n) - 1
+    failures = dep_events = mismatches = 0
+    for start in range(0, trials, lanes):
+        size = min(lanes, trials - start)
+        msgs, erased = [], np.empty((size, n), np.uint8)
+        for t in range(size):
+            if start + t:
+                stream.next_trial()
+            if q:
+                msgs.append(stream.symbols_mod(k, q))
+            erased[t] = stream.bernoulli_mask(n, pf)
+        flags = _bits_int(erased.reshape(-1))
+        fs = [flags >> t * n & full for t in range(size)]
+        if frozen is not None:
+            u = np.zeros((size, n), np.uint8)
+            u[:, info] = msgs
+            words = _gf2_transform(_bits_int(u.reshape(-1)), n, size)
+            sent = [words >> t * n & full for t in range(size)]
+        elif code.field.kind == GF2:
+            sent = [_xor_at(code.gen_ints, msg) for msg in msgs]
+        elif q:
+            sent = [encode(code, msg) for msg in msgs]
+        else:
+            sent = [zero_vector(code.field, n)] * size
+        for c, f, indep in zip(sent, fs, _flags_independent(pcm, fs)):
+            status, word = _erasure_decode(pcm, c, f)
+            fail, dep = status != "decoded", not indep
+            if not fail and not vectors_equal(word, c):
+                fail = mismatch = True  # decoded to the wrong codeword
+            else:
+                mismatch = fail != dep
+            failures += fail
+            dep_events += dep
+            mismatches += mismatch
     report = _report(code, "mec", pf, trials, seed, selection, failures, bounds)
     report.update(
         {
             "dependence_events": dep_events,
             "dependence_rate": dep_events / trials,
-            "mismatches": sum(1 for _, _, mm in results if mm),
+            "mismatches": mismatches,
         }
     )
     return report
+
+
+# bits in a block of erasure trials: 64 lanes at n = 1024, one at n >= 65536
+_LANE_BITS = 1 << 16
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,10 @@ elimination runs only on the columns peeling leaves open, and every
 other matrix eliminates the whole set.  Both bodies take the erased or
 selected set as one flag int (bit j = column j); ``codec.mec_decode``
 and ``columns_independent`` are their adapters, and every trial of
-``codec.mec_error_rate`` calls them directly.
+``codec.mec_error_rate`` calls them directly.  The oracle takes a block
+of flag ints and peels them together, set t in the n bits at offset
+t * n of one int: every butterfly mask has period 2h, which divides n,
+so no step crosses from one lane into the next.
 
 Text files are written through ``_write_text``: to a stream, or to a
 path through a sibling temporary file renamed into place, created with
@@ -697,12 +700,16 @@ def _scaled_sum(vecs, scales, coeffs, size: int) -> list[Fraction]:
 
 def _native(field: FieldSpec, values) -> tuple[object, int]:
     """A gfp or rational vector in elimination form, and its scale."""
-    if field.kind == GFP:
-        return vector(field, values), 1
-    vals = list(values)
-    if all(type(v) is int for v in vals):
-        return vals, 1
-    return _scaled(vector(field, vals))
+    if field.kind == RATIONAL:
+        values = list(values)
+        if all(type(v) is int for v in values):
+            return values, 1
+    return _elimination_form(field, vector(field, values))
+
+
+def _elimination_form(field: FieldSpec, v) -> tuple[object, int]:
+    """``_native`` of a vector that is already canonical (``vector``)."""
+    return (v, 1) if field.kind == GFP else _scaled(v)
 
 
 def _lead(v, lo: int, hi: int) -> int | None:
@@ -820,18 +827,32 @@ def _transform_rows(field: FieldSpec, n: int, idx) -> Matrix:
 
 
 @functools.lru_cache(maxsize=16)
-def _sc_masks(n: int) -> tuple[tuple[int, int], ...]:
-    """(h, the bits j of an n-bit int with j & h == 0) for h = n/2, ..., 1."""
-    full = (1 << n) - 1
+def _sc_masks(n: int, lanes: int = 1) -> tuple[tuple[int, int], ...]:
+    """(h, the bits j of a lanes * n-bit int with j & h == 0) for h = n/2, ..., 1.
+
+    Lane t is the n bits at offset t * n.  Each mask has period 2h, and
+    2h divides n, so every lane holds the n-bit mask and a butterfly
+    step (a shift by h under the mask) never crosses a lane.
+    """
+    full = (1 << n * lanes) - 1
     return tuple(
         (h, full // ((1 << 2 * h) - 1) * ((1 << h) - 1))
         for h in (n >> k for k in range(1, n.bit_length()))
     )
 
 
-def _gf2_transform(x: int, n: int) -> int:
-    """T x over GF(2), one XOR per index bit."""
-    for h, lo in _sc_masks(n):
+def _lane_copies(v: int, n: int, lanes: int) -> int:
+    """The n-bit int v repeated in each of ``lanes`` lanes."""
+    width = n
+    while width < n * lanes:
+        v |= v << width
+        width *= 2
+    return v & (1 << n * lanes) - 1
+
+
+def _gf2_transform(x: int, n: int, lanes: int = 1) -> int:
+    """T x over GF(2) in each n-bit lane of x, one XOR per index bit."""
+    for h, lo in _sc_masks(n, lanes):
         x ^= (x >> h) & lo
     return x
 
@@ -917,25 +938,45 @@ def _sc_decode(v: int, f: int, plan: tuple) -> int | None:
     return None
 
 
-def _bp_known(f: int, frozen: int, n: int) -> int:
-    """The coordinates of x that peeling on the butterfly graph determines.
+def _bp_known(f: int, frozen: int, n: int, lanes: int = 1) -> int:
+    """The coordinates of x that peeling on the butterfly graph determines,
+    in each n-bit lane of ``f`` at once.
 
     The graph has log2(n) + 1 stages of n nodes: stage 0 is x, known off
     the flagged set ``f``, and the last is u = T x, known (zero) on
-    ``frozen``.  The layer between stages k and k + 1 is the butterfly
-    of entry k of ``_sc_masks`` (the top bit next to x): a node j
-    with that bit clear is the sum of j and j + h one stage back, and
-    j + h passes through.  Over any field, any two of the three give the
-    third.  Sweeps run the layers forward and back in turn until nothing
-    changes or all of x is known.  Returns stage 0's known mask; every
-    value peeling derives is zero on a kernel vector that is zero off
-    ``f``.
+    ``frozen`` (an n-bit mask, the same in every lane).  The layer between
+    stages k and k + 1 is the butterfly of entry k of ``_sc_masks`` (the
+    top bit next to x): a node j with that bit clear is the sum of j and
+    j + h one stage back, and j + h passes through.  Over any field, any
+    two of the three give the third.  Sweeps run the layers forward and
+    back in turn (``_peel``) until nothing changes or all of x is known.
+    Peeling's fixpoint does not depend on the schedule or on where it
+    starts below the fixpoint, so it starts from what the frozen rows
+    determine alone (``_frozen_known``), and each lane gets exactly its
+    own known mask, however many sweeps its neighbours take (the masks
+    have period 2h, which divides n, so no step crosses a lane).
+    Returns stage 0's known mask; every value peeling derives is zero on
+    a kernel vector that is zero off ``f``.
     """
-    full = (1 << n) - 1
-    layers = list(enumerate(_sc_masks(n)))
-    known = [0] * (len(layers) + 1)
-    known[0] = full & ~f
-    known[-1] |= frozen
+    known = list(_frozen_known(frozen, n, lanes))
+    known[0] |= (1 << n * lanes) - 1 & ~f
+    return _peel(known, n, lanes)[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _frozen_known(frozen: int, n: int, lanes: int) -> tuple[int, ...]:
+    """Each stage's known mask when all of x is erased: what the frozen
+    rows determine alone, in every lane.  Every fixpoint of ``_bp_known``
+    holds it, and starting there saves the sweeps that carry it down."""
+    known = [0] * n.bit_length()
+    known[-1] = _lane_copies(frozen, n, lanes)
+    return tuple(_peel(known, n, lanes))
+
+
+def _peel(known: list[int], n: int, lanes: int) -> list[int]:
+    """Peeling's sweeps on the stage masks ``known``, in place."""
+    full = (1 << n * lanes) - 1
+    layers = list(enumerate(_sc_masks(n, lanes)))
     changed = True
     while changed and known[0] != full:
         changed = False
@@ -949,7 +990,7 @@ def _bp_known(f: int, frozen: int, n: int) -> int:
                 known[k], known[k + 1] = olo | hi, nlo | hi
                 changed = True
         layers.reverse()
-    return known[0]
+    return known
 
 
 # ---------------------------------------------------------------------------
@@ -985,30 +1026,38 @@ def columns_independent(m: Matrix, cols) -> bool:
     """Whether the selected columns are linearly independent
     (``_flags_independent`` on their flag int)."""
     cs = _as_column_set(cols, m.ncols)
-    return _flags_independent(m, _flag_int(cs, m.ncols))
+    return _flags_independent(m, [_flag_int(cs, m.ncols)])[0]
 
 
-def _flags_independent(m: Matrix, f: int) -> bool:
-    """Whether the columns of m at the set bits of ``f`` are independent.
+def _flags_independent(m: Matrix, fs: list[int]) -> list[bool]:
+    """For each flag int f in ``fs``, whether the columns of m at the set
+    bits of f are independent.
 
     The one oracle body, over every field.  When m is made of transform
     rows (``Matrix._frozen_rows``), peeling on the butterfly graph
     (``_bp_known``) first determines what it can of a kernel vector that
     is zero off the set, and every such value is zero.  So the set is
     independent exactly when its columns that peeling leaves open are,
-    and elimination runs on those alone.  Other matrices eliminate the
-    whole set.
+    and elimination runs on those alone.  The sets are peeled together,
+    set t in the lane at offset t * n of one int; a set of more than
+    nrows columns is dependent and stays out of the block.  Other
+    matrices eliminate each whole set.
     """
-    if f.bit_count() > m.nrows:
-        return False
+    n, full = m.ncols, (1 << m.ncols) - 1
+    fits = [f.bit_count() <= m.nrows for f in fs]
     frozen = m._frozen_rows()
     if frozen is not None:
-        f &= ~_bp_known(f, frozen, m.ncols)
-        if not f:
-            return True
+        block = sum(f << t * n for t, f in enumerate(fs) if fits[t])
+        block &= ~_bp_known(block, frozen, n, len(fs))
+        fs = [block >> t * n & full for t in range(len(fs))]
     make_basis, vecs = independence_tracker(m)
-    basis = make_basis()
-    return all(basis.insert(vecs[j]) for j in _bit_indices(f, m.ncols))
+    out = []
+    for f, fit in zip(fs, fits):
+        if fit and f:
+            basis = make_basis()
+            fit = all(basis.insert(vecs[j]) for j in _bit_indices(f, n))
+        out.append(fit)
+    return out
 
 
 def kernel(m: Matrix) -> KernelBasis:
@@ -1047,15 +1096,20 @@ def _solve_columns(m: Matrix, idx, y):
     length len(idx), or None when the system is inconsistent.
     """
     idx = list(idx)
-    k = len(idx)
     if m.field.kind == GF2:
         yv = vector(m.field, y)
         if yv.shape[0] != m.nrows:
             raise ValueError("rhs length does not match nrows")
         cols = m._column_ints()
         rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _bits_int(yv))
-        return rk, ok, (_int_bits(x, k) if ok else None)
-    yv, d = _native(m.field, y)
+        return rk, ok, (_int_bits(x, len(idx)) if ok else None)
+    return _solve_native(m, idx, *_native(m.field, y))
+
+
+def _solve_native(m: Matrix, idx: list[int], yv, d: int):
+    """``_solve_columns`` over GF(p) or the rationals, with y in
+    elimination form (``_native``) at scale d."""
+    k = len(idx)
     if len(yv) != m.nrows:
         raise ValueError("rhs length does not match nrows")
     # y goes in as one more column: the system is consistent exactly when
@@ -1102,9 +1156,11 @@ def _erasure_decode(m: Matrix, y, f: int) -> tuple[str, object]:
         cols = m._column_ints()
         rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _xor_at(cols, _int_bits(y, n)))
     else:
+        # y is canonical, so its copy goes through no entry check
         y = y.copy() if isinstance(y, np.ndarray) else list(y)
         _put(y, idx, zero_vector(m.field, len(idx)))
-        rk, ok, x = _solve_columns(m, idx, negate_vector(m.field, matvec(m, y)))
+        s = negate_vector(m.field, _matvec(m, y))
+        rk, ok, x = _solve_native(m, idx, *_elimination_form(m.field, s))
     if not ok:
         return "inconsistent", None
     if rk < len(idx):
@@ -1141,16 +1197,18 @@ def solve(m: Matrix, y):
 
 def matvec(m: Matrix, x):
     """Matrix-vector product over the matrix field."""
+    xv = vector(m.field, x)
+    if len(xv) != m.ncols:
+        raise ValueError("vector length does not match ncols")
+    return _matvec(m, xv)
+
+
+def _matvec(m: Matrix, xv):
+    """``matvec`` of a canonical vector of length ncols."""
     if m.field.kind == GF2:
-        xv = vector(m.field, x)
-        if xv.shape[0] != m.ncols:
-            raise ValueError("vector length does not match ncols")
         # the sum of the cached columns at x's ones
         return _int_bits(_xor_at(m._column_ints(), xv), m.nrows)
     if m.field.kind == GFP:
-        xv = np.asarray(vector(m.field, x), np.int64)
-        if xv.shape[0] != m.ncols:
-            raise ValueError("vector length does not match ncols")
         out = np.zeros(m.nrows, np.int64)
         p = m.field.p
         step = max(1, (1 << 21) // max(1, m.ncols))
@@ -1158,9 +1216,6 @@ def matvec(m: Matrix, x):
             hi = min(m.nrows, lo + step)
             out[lo:hi] = (m._data[lo:hi] * xv[None, :] % p).sum(axis=1) % p
         return out
-    xv = vector(m.field, x)
-    if len(xv) != m.ncols:
-        raise ValueError("vector length does not match ncols")
     return _scaled_sum(*m._column_vectors(), xv, m.nrows)
 
 

@@ -7,7 +7,9 @@ and trial t can be replayed in isolation.
 A simulator whose trials are cheap can draw a whole block of them at
 once: ``_raw_words`` runs the same Philox4x64-10 generator on numpy
 arrays, one lane per (trial, counter block), and returns the words each
-trial's ``SubStream`` would.
+trial's ``SubStream`` would.  A simulator that draws trial by trial
+without constructing a generator per trial moves one along the trials
+(``_TrialStream``), with the same words.
 """
 from __future__ import annotations
 
@@ -107,20 +109,20 @@ class SubStream:
         self._bg = np.random.Philox(key=seed, counter=trial << 128)
 
     def raw(self, n: int) -> np.ndarray:
-        """n uniform uint64 words."""
+        """n uniform uint64 words; every other draw takes its words here."""
         return self._bg.random_raw(n)
 
     def bernoulli_mask(self, n: int, p: Fraction) -> np.ndarray:
         """uint8 vector of n independent Bernoulli(p) draws."""
         t = threshold_u64(p)
-        u = self._bg.random_raw(n)  # n words at every p, so later draws do not depend on p
+        u = self.raw(n)  # n words at every p, so later draws do not depend on p
         if t >= _WORD:
             return np.ones(n, np.uint8)
         return (u < np.uint64(t)).astype(np.uint8)
 
     def bits(self, n: int) -> np.ndarray:
         """n fair coin flips as uint8."""
-        u = self._bg.random_raw(n)
+        u = self.raw(n)
         return (u & np.uint64(1)).astype(np.uint8)
 
     def symbols_mod(self, n: int, q: int) -> np.ndarray:
@@ -131,13 +133,13 @@ class SubStream:
             return np.zeros(n, np.int64)
         rem = _WORD % q
         if rem == 0:  # q divides 2**64, so no rejection region, and u % q is u & (q - 1)
-            u = self._bg.random_raw(n)
+            u = self.raw(n)
             return (u & np.uint64(q - 1)).astype(np.int64)
         lim = np.uint64(_WORD - rem)
         out = np.empty(n, np.int64)
         filled = 0
         while filled < n:
-            u = self._bg.random_raw(n - filled)
+            u = self.raw(n - filled)
             take = u[u < lim] % np.uint64(q)
             k = take.shape[0]
             out[filled : filled + k] = take.astype(np.int64)
@@ -147,6 +149,35 @@ class SubStream:
     def integer_below(self, q: int) -> int:
         """One uniform draw from {0, ..., q-1}."""
         return int(self.symbols_mod(1, q)[0])
+
+
+class _TrialStream(SubStream):
+    """``SubStream(seed, t)`` for t = trial, trial + 1, ... in turn, on one
+    generator.
+
+    Constructing a Philox generator costs about as much as drawing an
+    erasure trial's words, so this stream moves its one generator instead.
+    After w words of trial t the counter is (t << 128) + ceil(w / 4), with
+    the rest of the last block buffered; ``next_trial`` advances the
+    counter to (t + 1) << 128 and drops the buffer, which is where a new
+    ``SubStream(seed, t + 1)`` starts.  So every trial gets exactly its
+    own substream's words, whatever it drew before.
+    """
+
+    __slots__ = ("_used",)
+
+    def __init__(self, seed: int, trial: int):
+        super().__init__(seed, trial)
+        self._used = 0
+
+    def raw(self, n: int) -> np.ndarray:
+        self._used += n
+        return self._bg.random_raw(n)
+
+    def next_trial(self) -> None:
+        """Move on to the next trial's substream."""
+        self._bg.advance((1 << 128) - (-(-self._used // 4)))
+        self._used = 0
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

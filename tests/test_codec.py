@@ -519,11 +519,14 @@ def permuted_columns(m, seed):
     return pm
 
 
-def test_mec_error_rate_equals_the_public_trial_loop():
-    # the trials run on the field's own words and one flag int through the
-    # decoder and oracle cores; the report must equal, key for key, the
-    # one the public calls give, on transform rows (SC over GF(2), peeling
-    # in the oracle) and on the same rows with their columns permuted
+def test_mec_error_rate_equals_the_public_trial_loop(monkeypatch):
+    # the trials run in lane blocks on the field's own words and flag ints
+    # through the decoder and oracle cores; the report must equal, key for
+    # key, the one the public calls give, on transform rows (SC and the
+    # polar-form codeword over GF(2), peeling in the oracle) and on the
+    # same rows with their columns permuted.  30 trials fill one ragged
+    # block at the default size, and four full blocks of 7 lanes and a
+    # ragged one of 2 at the small size
     pcms = []
     for field in (GF2, FieldSpec.gfp(3), GF5, RAT):
         rows = check_matrix(64, F(1, 2), SelectionSpec.top(26), field).matrix
@@ -534,14 +537,87 @@ def test_mec_error_rate_equals_the_public_trial_loop():
         code = code_from_pcm(pcm)
         for p in (F(0), F(1, 5), F(1, 2), F(1)):
             for seed in (1, 29, 2**63 + 5) if pcm.field == GF2 else (29,):
-                rep = mec_error_rate(code, p, 30, seed)
                 want = reference_mec_error_rate(code, p, 30, seed)
-                assert list(rep.items()) == list(want.items()), (pcm.field, pcm.ncols, p, seed)
+                for bits in (codec._LANE_BITS, 7 * pcm.ncols):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(codec, "_LANE_BITS", bits)
+                        rep = mec_error_rate(code, p, 30, seed)
+                    assert list(rep.items()) == list(want.items()), (pcm.field, pcm.ncols, p, seed, bits)
                 if rep["failures"]:
                     failed.add(i)
                 if rep["failures"] < 30:
                     decoded.add(i)
     assert failed == decoded == set(range(len(pcms)))
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec.gfp(3)], ids=str)
+def test_mec_error_rate_keeps_the_decoder_apart_from_the_oracle(monkeypatch, field):
+    # inside the simulator itself: successive cancellation runs only under
+    # the decoder core (over GF(2)) and peeling only under the oracle core
+    inside, seen = [], []
+
+    def under(name, fn):
+        def call(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return call
+
+    def noted(name, fn):
+        def call(*args):
+            seen.append((name, tuple(inside)))
+            return fn(*args)
+
+        return call
+
+    code = code_from_pcm(check_matrix(64, F(1, 2), SelectionSpec.top(26), field).matrix)
+    want = mec_error_rate(code, F(1, 5), 40, 3)
+    with monkeypatch.context() as mp:
+        mp.setattr(codec, "_erasure_decode", under("decoder", fields._erasure_decode))
+        mp.setattr(codec, "_flags_independent", under("oracle", fields._flags_independent))
+        mp.setattr(fields, "_sc_decode", noted("_sc_decode", fields._sc_decode))
+        mp.setattr(fields, "_bp_known", noted("_bp_known", fields._bp_known))
+        assert mec_error_rate(code, F(1, 5), 40, 3) == want
+    assert want["failures"] < 40
+    assert {name for name, _ in seen} == ({"_sc_decode", "_bp_known"} if field == GF2 else {"_bp_known"})
+    for name, stack in seen:
+        assert stack == (("decoder",) if name == "_sc_decode" else ("oracle",)), (name, stack)
+
+
+def test_mec_error_rate_input_checks():
+    code = code_from_pcm(Matrix.from_rows(GF2, HAMMING_7_4))
+    with pytest.raises(ValueError):
+        mec_error_rate(code, F(1, 10), 10, 5, threads=0)
+    with pytest.raises(ValueError):
+        mec_error_rate(code, F(1, 10), 0, 5)
+    with pytest.raises(ValueError):
+        mec_error_rate(code, F(1, 10), 10, 1 << 64)
+
+
+def test_rational_trials_coerce_no_entries(monkeypatch):
+    # a rational trial sends the zero word and decodes its canonical copy,
+    # so no entry goes through the entry check once the code is built
+    calls = []
+    real = fields._rational_entry
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    code = code_from_pcm(check_matrix(64, F(1, 2), SelectionSpec.top(26), RAT).matrix)
+    mec_error_rate(code, F(1, 5), 1, 8)  # fills the matrix caches
+    counts, reports = [], []
+    for trials in (3, 40):
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(fields, "_rational_entry", counted)
+            reports.append(mec_error_rate(code, F(1, 5), trials, 8))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert 0 < reports[1]["failures"] < 40 and reports[1]["mismatches"] == 0
 
 
 # ---------------------------------------------------------------- ml / bsc

@@ -894,6 +894,37 @@ def test_bp_certifies_every_sc_certified_set_n8():
     assert more  # peeling certifies sets that SC leaves open
 
 
+def test_laned_peeling_and_transform_equal_the_per_lane_ones():
+    # lane t holds the n bits at offset t * n; no butterfly step crosses a
+    # lane, and peeling's fixpoint does not depend on how many sweeps the
+    # other lanes need, so each lane gets its own known mask bit for bit;
+    # ragged blocks (lane counts that are not powers of two), empty and
+    # full erased sets, and every size from n = 1 to 1024; and peeling
+    # from the frozen rows' own masks reaches the fixpoint peeling from
+    # nothing does
+    rng = random.Random(1604)
+    for n in (1 << e for e in range(11)):
+        full = (1 << n) - 1
+        frozen = rng.getrandbits(n) & rng.getrandbits(n)
+        sets = [0, full] + [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(12)]
+        sets += [rng.getrandbits(n) for _ in range(4)]
+        rng.shuffle(sets)
+        for lanes in (1, 2, 3, 7, len(sets)):
+            for start in range(0, len(sets), lanes):
+                block = sets[start : start + lanes]
+                f = sum(v << t * n for t, v in enumerate(block))
+                known = _bp_known(f, frozen, n, len(block))
+                x = fields._gf2_transform(f, n, len(block))
+                for t, v in enumerate(block):
+                    assert known >> t * n & full == _bp_known(v, frozen, n), (n, lanes, t)
+                    assert x >> t * n & full == fields._gf2_transform(v, n), (n, lanes, t)
+                assert not known >> len(block) * n and not x >> len(block) * n
+        for v in sets:
+            stages = [full & ~v] + [0] * (n.bit_length() - 1)
+            stages[-1] |= frozen
+            assert fields._peel(stages, n, 1)[0] == _bp_known(v, frozen, n)
+
+
 def test_bp_residue_verdict_gf2_n16():
     # exhaustive over erasure patterns: BP certifies every SC-certified
     # set, never loses a known coordinate, and the columns it leaves open

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from highgirth import RNG_ID, SubStream, TrialReport, run_trials, wilson_interval
-from highgirth.montecarlo import _raw_words
+from highgirth.montecarlo import _raw_words, _TrialStream
 
 F = Fraction
 
@@ -119,6 +119,31 @@ def test_bits_and_symbols():
         assert (a.symbols_mod(300, q) == b.raw(300) % np.uint64(q)).all()
         assert a.raw(3).tolist() == b.raw(3).tolist()
     assert (SubStream(9, 1).symbols_mod(500, 2) == SubStream(9, 1).bits(500)).all()
+
+
+@pytest.mark.parametrize("seed", [0, 29, (1 << 64) - 1])
+def test_trial_stream_moves_through_the_substreams(seed):
+    # one generator moved from trial to trial draws exactly the words of
+    # each trial's own substream, whatever the trial before it drew: word
+    # counts that leave part of a Philox block unread, symbols_mod's
+    # rejection at q = 3, and a start far along the trial counter
+    def draws(stream, i):
+        if i % 3 == 0:
+            return [stream.raw(7), stream.symbols_mod(5, 3), stream.bernoulli_mask(6, F(1, 3))]
+        if i % 3 == 1:
+            return [stream.bits(1), stream.symbols_mod(41, 3)]
+        return [stream.raw(4 * i), stream.symbols_mod(i, 8)]
+
+    for start in (0, 1 << 40):
+        moved = _TrialStream(seed, start)
+        for i in range(12):
+            if i:
+                moved.next_trial()
+            got, want = draws(moved, i), draws(SubStream(seed, start + i), i)
+            assert [a.tolist() for a in got] == [b.tolist() for b in want], (start, i)
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            _TrialStream(bad, 0)
 
 
 def test_integer_below():

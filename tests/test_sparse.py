@@ -53,6 +53,29 @@ def test_draw_signal_bernoulli_support():
     assert abs(total / (200 * 40) - 0.25) < 0.03
 
 
+@pytest.mark.parametrize("field", [GF5, RAT], ids=str)
+def test_bernoulli_support_draws_are_pinned_at_rates_0_and_1(field):
+    # the support takes n words at every rate, so the values and whatever
+    # the stream draws next sit at the same place at q = 0, 1 and between
+    n, seed, trial = 6, 21, 3
+    for q in (F(0), F(1)):
+        stream = SubStream(seed, trial)
+        sig = draw_signal(field, n, BernoulliSupport(q), stream)
+        replay = SubStream(seed, trial)
+        replay.raw(n)
+        bound = 4 if field == GF5 else 9
+        want = [1 + replay.integer_below(bound) for _ in sig.support]
+        assert sig.support == (ColumnSet.full(n) if q else ColumnSet.empty())
+        assert list(sig.values) == want
+        assert stream.raw(2).tolist() == replay.raw(2).tolist()
+    # the same draws as literals
+    at_one = draw_signal(field, n, BernoulliSupport(F(1)), SubStream(seed, trial)).values
+    assert list(at_one) == ([2, 4, 2, 4, 4, 2] if field == GF5 else [5, 1, 8, 2, 1, 7])
+    empty = SubStream(seed, trial)
+    assert draw_signal(field, n, BernoulliSupport(F(0)), empty).values == ()
+    assert empty.raw(2).tolist() == [13658476771833500497, 14310362697650816319]
+
+
 def test_model_names():
     assert UniformSupport(3).name() == "uniform:3"
     assert BernoulliSupport(F(1, 4)).name() == "bernoulli:1/4"
