@@ -1,15 +1,15 @@
 """Linear codes from check matrices: encoding, decoding, and error bounds.
 
 One erasure decoder serves every field.  Its one body is
-``fields._erasure_decode``, which takes the received word in the
-field's own form (a Python int over GF(2)) and the erased set as one
-flag int; ``mec_decode`` is its adapter.  Over GF(2), on a check matrix
-made of transform rows, it decodes by successive cancellation
-(``fields._sc_decode``, on a node plan cached with the matrix) and keeps
-the result only after checking it against the received word and the
-checks; every other case solves for the erased coordinates from the
-syndrome on the check matrix's cached columns
-(``fields._solve_columns``).  The decoder fails exactly when the
+``fields._erasure_decode``, which takes a block of received words in
+the field's own form (one Python int over GF(2)) and their erased sets
+as one flag int; ``mec_decode`` is its adapter, with one lane.  Over
+GF(2), on a check matrix made of transform rows, it decodes by
+successive cancellation (``fields._sc_decode``, on a node plan in a
+bounded cache) and keeps a lane's result only after checking it
+against the received word and the checks; every other case solves for
+the erased coordinates from the syndrome on the check matrix's cached
+columns (``fields._fill``).  The decoder fails exactly when the
 check-matrix columns at the erased positions are linearly dependent,
 and the simulator verifies that equivalence on every trial through a
 separate oracle, whose one body is ``fields._flags_independent``
@@ -19,11 +19,12 @@ only the columns peeling leaves open, so it shares no certificate with
 the decoder.  A trial of ``mec_error_rate`` keeps the codeword in its
 field's own form and the erased set as a flag int from the draws to the
 verdicts, and calls both bodies directly.  Trials run in lane blocks:
-trial t of a block lives in the n bits at offset t * n of one int, the
-oracle peels every lane of the block in one pass, and the decoder runs
-lane by lane.  Over GF(2) on a check matrix of transform rows the
-block's codewords are c = T u, one lane transform, with u zero on the
-frozen rows and the message bits elsewhere.
+coordinate j of trial t of an L-lane block is bit j * L + t of one int,
+the oracle peels every lane of the block in one pass, and over GF(2)
+successive cancellation decodes every lane in one recursion.  Over GF(2)
+on a check matrix of transform rows the block's codewords are c = T u,
+one lane transform, with u zero on the frozen rows and the message bits
+elsewhere.
 
 The crossing-channel side is exact where it can be: the weight
 enumerator is computed by full codeword enumeration (budgeted), the
@@ -60,6 +61,8 @@ from .fields import (
     _generator,
     _gf2_transform,
     _int_bits,
+    _interleave,
+    _lanes_any,
     _pack_rows_u8,
     _rows_packed,
     _scaled_sum,
@@ -74,7 +77,7 @@ from .fields import (
     vectors_equal,
     zero_vector,
 )
-from .montecarlo import RNG_ID, _raw_words, _TrialStream, threshold_u64, wilson_interval
+from .montecarlo import RNG_ID, _below, _raw_words, _TrialStream, threshold_u64, wilson_interval
 from .montecarlo import run_trials  # noqa: F401 - perfbench/layers.py wraps it here
 
 __all__ = [
@@ -180,10 +183,14 @@ def mec_decode(code: LinearCode, output: ChannelOutput) -> DecodeResult:
     if len(word) != code.n:
         raise ValueError(f"received word length {len(word)} != n={code.n}")
     gf2 = code.field.kind == GF2
-    status, c = _erasure_decode(code.pcm, _bits_int(word) if gf2 else word, _flag_int(erased, code.n))
-    if gf2 and c is not None:
+    statuses, c = _erasure_decode(code.pcm, _bits_int(word) if gf2 else [word], _flag_int(erased, code.n), 1)
+    if statuses[0] != "decoded":
+        c = None
+    elif gf2:
         c = _int_bits(c, code.n)
-    return DecodeResult(status, c, erased)
+    else:
+        c = c[0]
+    return DecodeResult(statuses[0], c, erased)
 
 
 def _report(code: LinearCode, channel: str, pf: Fraction, trials: int, seed: int, selection, failures: int, bounds) -> dict:
@@ -230,27 +237,37 @@ def mec_error_rate(
     verdicts must agree trial by trial; disagreements are counted and
     reported (and indicate a bug).
 
-    Trials run in blocks of ``_LANE_BITS // n`` lanes (at least one), and
-    trial t of a block lives in the n bits at offset t * n of one int.
-    The oracle, ``fields._flags_independent``, peels a whole block's
-    erased sets in one pass and eliminates each lane's residue; the
-    decoder, ``fields._erasure_decode``, runs lane by lane on the trial's
-    word in its field's own form (an int over GF(2)) and its flag int.
-    Over GF(2) on a matrix of transform rows the block's codewords are
-    c = T u, one lane transform for the block, with u zero on the frozen
-    rows and the message bits on the others in order, so every c is a
-    codeword; it is not ``encode``'s codeword for the message, but over
-    GF(2) a trial's verdicts depend only on its erased set.  Other GF(2)
-    matrices sum generator rows, GF(p) calls ``encode``, and over the
-    rationals the zero codeword is sent (failure is codeword-independent
-    for a linear code).
+    Trials run in blocks of ``_LANE_BITS // n`` lanes (at least one), in
+    one interleaved layout: coordinate j of trial t of a block is bit
+    j * L + t of one int, L the block's lane count.  The erased sets are
+    one flag block, and the oracle, ``fields._flags_independent``, peels
+    every lane in one pass and eliminates each lane's residue.  The
+    decoder, ``fields._erasure_decode``, takes the block's words in its
+    field's own form: over GF(2) one int in the same layout, on which
+    successive cancellation decodes every lane in one recursion and only
+    the lanes it rejects are solved one by one; over the other fields a
+    list of the lanes' words.  Over GF(2) the check against the sent
+    words is one fold of the block to a lane mask.  Over GF(2) on a
+    matrix of transform rows the block's codewords are c = T u, one lane
+    transform for the block, with u zero on the frozen rows and the
+    message bits on the others in order, so every c is a codeword; it is
+    not ``encode``'s codeword for the message, but over GF(2) a trial's
+    verdicts depend only on its erased set.  Other GF(2) matrices sum
+    generator rows, GF(p) calls ``encode``, and over the rationals the
+    zero codeword is sent (failure is codeword-independent for a linear
+    code).
 
     Trial t draws from the words of ``SubStream(seed, t)`` in a fixed
     order: message first (``symbols_mod``, which at q = 2 gives the words
     and values of ``bits``; nothing over the rationals), then the erasure
-    pattern (``bernoulli_mask``).  One generator is moved from trial to
-    trial (``montecarlo._TrialStream``).  ``threads`` must be at least 1
-    and does not change the bytes of the report.
+    pattern (``bernoulli_mask``).  Over GF(2) and the rationals a trial
+    takes all its words in one ``raw`` call, column t of the block's
+    (k + n, L) words (n words over the rationals), and the block's
+    message bits and erasure flags are read off the columns in numpy;
+    over GF(p) the message goes through ``symbols_mod``, which rejects.
+    One generator is moved from trial to trial
+    (``montecarlo._TrialStream``).  ``threads`` must be at least 1 and
+    does not change the bytes of the report.
     """
     pf = parse_probability(p, "p")
     if trials < 1:
@@ -260,37 +277,41 @@ def mec_error_rate(
     stream = _TrialStream(seed, 0)
 
     pcm, n, k, q = code.pcm, code.n, code.k, code.field.order
-    frozen = pcm._frozen_rows() if code.field.kind == GF2 else None
-    if frozen is not None:  # the rows of u that carry the message
-        info = np.flatnonzero(_int_bits(~frozen & ((1 << n) - 1), n))
-    lanes, full = max(1, _LANE_BITS // n), (1 << n) - 1
+    gf2 = code.field.kind == GF2
+    frozen = pcm._frozen_rows() if gf2 else None
+    thr = threshold_u64(pf)
+    kw = k if gf2 else 0  # message words drawn with the flags: q = 2 rejects none
+    lanes = max(1, _LANE_BITS // n)
     failures = dep_events = mismatches = 0
     for start in range(0, trials, lanes):
         size = min(lanes, trials - start)
-        msgs, erased = [], np.empty((size, n), np.uint8)
+        msgs, words = [], np.empty((kw + n, size), np.uint64)
         for t in range(size):
             if start + t:
                 stream.next_trial()
-            if q:
+            if q and not gf2:
                 msgs.append(stream.symbols_mod(k, q))
-            erased[t] = stream.bernoulli_mask(n, pf)
-        flags = _bits_int(erased.reshape(-1))
-        fs = [flags >> t * n & full for t in range(size)]
+            words[:, t] = stream.raw(kw + n)
+        f = _bits_int(_below(words[kw:], thr))
         if frozen is not None:
-            u = np.zeros((size, n), np.uint8)
-            u[:, info] = msgs
-            words = _gf2_transform(_bits_int(u.reshape(-1)), n, size)
-            sent = [words >> t * n & full for t in range(size)]
-        elif code.field.kind == GF2:
-            sent = [_xor_at(code.gen_ints, msg) for msg in msgs]
+            u = np.zeros((n, size), np.uint8)
+            u[pcm._message_rows()] = words[:k] & np.uint64(1)
+            sent = _gf2_transform(_bits_int(u), n, size)
+        elif gf2:
+            sent = _interleave([_xor_at(code.gen_ints, b) for b in (words[:k] & np.uint64(1)).T], n)
         elif q:
             sent = [encode(code, msg) for msg in msgs]
         else:
             sent = [zero_vector(code.field, n)] * size
-        for c, f, indep in zip(sent, fs, _flags_independent(pcm, fs)):
-            status, word = _erasure_decode(pcm, c, f)
+        statuses, decoded = _erasure_decode(pcm, sent, f, size)
+        if gf2:
+            wrong = _lanes_any(decoded ^ sent, n, size)
+        else:
+            pairs = enumerate(zip(sent, decoded))
+            wrong = sum(1 << t for t, (c, w) in pairs if w is not None and not vectors_equal(w, c))
+        for t, (status, indep) in enumerate(zip(statuses, _flags_independent(pcm, f, size))):
             fail, dep = status != "decoded", not indep
-            if not fail and not vectors_equal(word, c):
+            if not fail and wrong >> t & 1:
                 fail = mismatch = True  # decoded to the wrong codeword
             else:
                 mismatch = fail != dep

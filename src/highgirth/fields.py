@@ -47,21 +47,24 @@ is the polar code with those rows frozen, and two algorithms on the
 butterfly graph of T serve it.  The erasure decoder, ``_erasure_decode``,
 is one body over every field; over GF(2) it proposes codewords by
 successive cancellation (``_sc_decode``, values on Python ints), and it
-solves on the cached columns otherwise.  SC walks a node plan the
-matrix caches (``_sc_plan``): nodes whose frozen leaves are all, none,
-all but the last (repetition) or only the first (single parity check)
-decode without their children.  The independence oracle,
+solves on the cached columns otherwise.  SC walks a node plan
+(``_sc_plan``, in a bounded cache): nodes whose frozen leaves are all,
+none, all but the last (repetition) or only the first (single parity
+check) decode without their children.  The independence oracle,
 ``_flags_independent``, peels instead (``_bp_known``, erasure belief
 propagation, the same over every field): a kernel vector that is zero
 off the selected columns is zero wherever peeling determines it, so
 elimination runs only on the columns peeling leaves open, and every
-other matrix eliminates the whole set.  Both bodies take the erased or
-selected set as one flag int (bit j = column j); ``codec.mec_decode``
-and ``columns_independent`` are their adapters, and every trial of
-``codec.mec_error_rate`` calls them directly.  The oracle takes a block
-of flag ints and peels them together, set t in the n bits at offset
-t * n of one int: every butterfly mask has period 2h, which divides n,
-so no step crosses from one lane into the next.
+other matrix eliminates the whole set.  Both bodies take a block of L
+lanes, each an erased or selected set, as one flag int in an
+interleaved layout: column j of lane t is bit j * L + t.  With that
+layout every butterfly step on all lanes at once is the one-lane step
+with h replaced by h * L, and a node's halves are still v & lo and
+v >> h * L.  So the oracle peels every lane in one pass, SC decodes
+every lane in one recursion, and only the lanes SC rejects are solved
+one by one.  ``codec.mec_decode`` and ``columns_independent`` are their
+adapters, with L = 1, and ``codec.mec_error_rate`` calls them on its
+blocks of trials.
 
 Text files are written through ``_write_text``: to a stream, or to a
 path through a sibling temporary file renamed into place, created with
@@ -594,12 +597,21 @@ class Matrix:
             self._cache["frozen"] = frozen
         return self._cache["frozen"]
 
-    def _node_plan(self) -> tuple:
-        """``_sc_plan`` of ``_frozen_rows()``, which must not be None. Cached."""
-        plan = self._cache.get("plan")
-        if plan is None:
-            plan = self._cache["plan"] = _sc_plan(self._frozen_rows(), self.ncols)
-        return plan
+    def _node_plan(self, lanes: int = 1) -> tuple:
+        """``_sc_plan`` of ``_frozen_rows()``, which must not be None, on
+        blocks of ``lanes`` lanes; kept in ``_sc_plan``'s bounded cache."""
+        return _sc_plan(self._frozen_rows(), self.ncols, lanes)
+
+    def _message_rows(self) -> np.ndarray:
+        """The rows of u = T x not in ``_frozen_rows()``, which must not be
+        None, ascending: where a polar-form codeword carries its message.
+        Cached."""
+        rows = self._cache.get("message")
+        if rows is None:
+            n = self.ncols
+            rows = self._cache["message"] = np.flatnonzero(_int_bits(~self._frozen_rows() & (1 << n) - 1, n))
+            rows.setflags(write=False)
+        return rows
 
     # -- dunder -------------------------------------------------------
 
@@ -823,35 +835,69 @@ def _transform_rows(field: FieldSpec, n: int, idx) -> Matrix:
 # log2 n butterflies: for each index bit h, the entry j with bit h clear
 # gains the entry j + h.  A matrix of the rows ``frozen`` of T has the
 # kernel {x : u_i = 0 for i in frozen}, the polar code with those rows
-# frozen.  Ints carry vectors and masks, bit j = coordinate j.
+# frozen.  Ints carry blocks of vectors and masks in one interleaved lane
+# layout: in a block of L lanes, coordinate j of lane t is bit j * L + t
+# (one lane: bit j = coordinate j).  So a butterfly step on every lane at
+# once is the one-lane step with h replaced by h * L, and a node's two
+# halves are still v & lo and v >> h * L.
 
 
 @functools.lru_cache(maxsize=16)
 def _sc_masks(n: int, lanes: int = 1) -> tuple[tuple[int, int], ...]:
-    """(h, the bits j of a lanes * n-bit int with j & h == 0) for h = n/2, ..., 1.
-
-    Lane t is the n bits at offset t * n.  Each mask has period 2h, and
-    2h divides n, so every lane holds the n-bit mask and a butterfly
-    step (a shift by h under the mask) never crosses a lane.
-    """
+    """(h * lanes, the bits of the coordinates j with j & h == 0) for
+    h = n/2, ..., 1, on a block of ``lanes`` lanes of n coordinates."""
     full = (1 << n * lanes) - 1
     return tuple(
-        (h, full // ((1 << 2 * h) - 1) * ((1 << h) - 1))
-        for h in (n >> k for k in range(1, n.bit_length()))
+        (s, full // ((1 << 2 * s) - 1) * ((1 << s) - 1))
+        for s in (n * lanes >> k for k in range(1, n.bit_length()))
     )
 
 
+@functools.lru_cache(maxsize=16)
 def _lane_copies(v: int, n: int, lanes: int) -> int:
-    """The n-bit int v repeated in each of ``lanes`` lanes."""
-    width = n
-    while width < n * lanes:
-        v |= v << width
-        width *= 2
-    return v & (1 << n * lanes) - 1
+    """The n-bit int v in every lane of a block: bit j of v becomes the
+    ``lanes`` bits of coordinate j."""
+    return _bits_int(np.repeat(_int_bits(v, n), lanes))
+
+
+def _lane_ints(v: int, n: int, lanes: int) -> list[int]:
+    """Each lane of a block as an n-bit int, bit j = coordinate j."""
+    if lanes == 1:
+        return [v]
+    return _row_ints(_pack_rows_u8(_int_bits(v, n * lanes).reshape(n, lanes).T))
+
+
+def _interleave(vs: list[int], n: int) -> int:
+    """The block whose lane t is the n-bit int vs[t]; the inverse of
+    ``_lane_ints``."""
+    if len(vs) == 1:
+        return vs[0]
+    return _bits_int(_unpack_bits(_rows_packed(vs, n), n).T)
+
+
+@functools.lru_cache(maxsize=16)
+def _lane_unit(n: int, lanes: int) -> int:
+    """Bit j * lanes for every coordinate j: times a lanes-bit mask, the
+    block holding that mask at every coordinate."""
+    return ((1 << n * lanes) - 1) // ((1 << lanes) - 1)
+
+
+def _lanes_any(v: int, n: int, lanes: int) -> int:
+    """The lanes in which a block of n coordinates has a set bit, as a
+    mask with bit t for lane t.
+
+    Each step ORs the upper half of the coordinates that are left onto
+    the lower half; the bits above it are never read again.
+    """
+    s = lanes << (n - 1).bit_length()
+    while s > lanes:
+        s >>= 1
+        v |= v >> s
+    return v & (1 << lanes) - 1
 
 
 def _gf2_transform(x: int, n: int, lanes: int = 1) -> int:
-    """T x over GF(2) in each n-bit lane of x, one XOR per index bit."""
+    """T x over GF(2) in every lane of a block, one XOR per index bit."""
     for h, lo in _sc_masks(n, lanes):
         x ^= (x >> h) & lo
     return x
@@ -874,73 +920,102 @@ def _bit_indices(v: int, n: int) -> list[int]:
 _RATE0, _RATE1, _REP, _SPC, _MIXED = range(5)
 
 
-def _sc_plan(frozen: int, n: int) -> tuple:
-    """The node tree ``_sc_decode`` walks for the frozen mask ``frozen``.
+@functools.lru_cache(maxsize=16)
+def _sc_plan(frozen: int, n: int, lanes: int = 1) -> tuple:
+    """The node tree ``_sc_decode`` walks for the frozen mask ``frozen``
+    on blocks of ``lanes`` lanes.
 
-    A node whose n leaves are all frozen, or none, or all but the last,
+    A node whose m leaves are all frozen, or none, or all but the last,
     or only the first, is a leaf of the plan: its code is {0}, every
     word, the repetition code, or the even-weight words (u_0 is the sum
-    of x, u_{n-1} is x_{n-1}), and its erasure decoding needs no children
+    of x, u_{m-1} is x_{m-1}), and its erasure decoding needs no children
     (simplified SC, Alamdar-Yazdi and Kschischang 2011; Sarkis et al.
-    2014).  Any other node is (_MIXED, h, low-half mask, left, right).
+    2014).  Every leaf but (_RATE0,) is (kind, folds, lane mask,
+    repunit): the shifts m * lanes / 2, ..., lanes that fold a lane's m
+    coordinates onto its first by halving, (1 << lanes) - 1, and
+    ``_lane_unit(m, lanes)``, which spreads a lanes-bit value over the
+    coordinates in one multiply.  Any other node is (_MIXED,
+    h * lanes, low-half mask, left, right).
     """
-    full = (1 << n) - 1
-    if frozen == full:
-        return (_RATE0,)
-    if not frozen:
-        return (_RATE1,)
-    if frozen == full >> 1:
-        return (_REP, full)
-    if frozen == 1:
-        return (_SPC,)
-    h = n >> 1
-    lo = full >> h
-    return (_MIXED, h, lo, _sc_plan(frozen & lo, h), _sc_plan(frozen >> h, h))
+    ones = (1 << lanes) - 1
+
+    def node(frozen: int, m: int) -> tuple:
+        full = (1 << m) - 1
+        if frozen == full:
+            return (_RATE0,)
+        kind = _RATE1 if not frozen else _REP if frozen == full >> 1 else _SPC if frozen == 1 else _MIXED
+        if kind != _MIXED:
+            folds = tuple(m * lanes >> k for k in range(1, m.bit_length()))
+            return (kind, folds, ones, _lane_unit(m, lanes))
+        h = m >> 1
+        return (_MIXED, h * lanes, (1 << h * lanes) - 1, node(frozen & full >> h, h), node(frozen >> h, h))
+
+    return node(frozen, n)
 
 
-def _sc_decode(v: int, f: int, plan: tuple) -> int | None:
-    """Successive-cancellation erasure decoding of x over GF(2).
+def _sc_decode(v: int, f: int, plan: tuple) -> tuple[int, int]:
+    """Successive-cancellation erasure decoding over GF(2) of every lane
+    of a block in one recursion.
 
-    ``v`` holds x off the flagged coordinates ``f`` (whatever it holds on
-    them is ignored), and u_i = 0 for i frozen in ``plan``
-    (``_sc_plan``).  Split x by the top index bit h into a (bit clear)
-    and b (bit set): u's half with bit h clear is the transform of a + b,
-    erased where a or b is, and u's other half is the transform of b.
-    Once a + b is decoded, b is known where b is, or where a is (any two
-    of a, b and a + b give the third), so it stays erased where both are.
+    ``v`` holds each lane's x off the flagged coordinates ``f`` (whatever
+    it holds on them is ignored), and u_i = 0 for i frozen in ``plan``
+    (``_sc_plan`` for the block's lane count).  Split x by the top index
+    bit h into a (bit clear) and b (bit set): u's half with bit h clear
+    is the transform of a + b, erased where a or b is, and u's other half
+    is the transform of b.  Once a + b is decoded, b is known where b is,
+    or where a is (any two of a, b and a + b give the third), so it stays
+    erased where both are, and needs no decoding when that is nowhere.
     A child's word holds junk from that XOR on its erased bits, so the
-    repetition and parity leaves read only v & ~f.  Returns x, or None
-    when some flagged leaf u_i is not frozen.  Fully known and fully
-    frozen nodes never read the data, so on a word that is not a codeword
-    the result is not a solution: check it.
+    repetition and parity leaves read only v & ~f.  A leaf folds each
+    lane's coordinates onto one lanes-bit field by halving: OR finds the
+    erased lanes and the repetition value, AND the lanes erased
+    everywhere, XOR the parity, and a count to two the lanes with two
+    erasures; one multiply by the repunit spreads a value back over the
+    coordinates.
+
+    Returns (x, failed lanes): bit t of the mask is set when some flagged
+    leaf u_i of lane t is not frozen, which depends on the lane's flags
+    alone, and that lane's word is junk.  Fully known and fully frozen
+    nodes never read the data, so on a word that is not a codeword the
+    result is not a solution: check it.
     """
     if not f:
-        return v
+        return v, 0
     kind = plan[0]
     if kind == _MIXED:
-        _, h, lo, left, right = plan
-        va, vb, fa, fb = v & lo, v >> h, f & lo, f >> h
-        c1 = _sc_decode(va ^ vb, fa | fb, left)
-        if c1 is None:
-            return None
-        c2 = _sc_decode(vb ^ ((vb ^ va ^ c1) & fb & ~fa), fa & fb, right)
-        if c2 is None:
-            return None
-        return (c1 ^ c2) | (c2 << h)
+        _, s, lo, left, right = plan
+        va, vb, fa, fb = v & lo, v >> s, f & lo, f >> s
+        w, fab = va ^ vb, fa & fb
+        c1, bad = _sc_decode(w, fa | fb, left)
+        c2 = vb ^ ((w ^ c1) & (fb ^ fab))
+        if fab:
+            c2, bad2 = _sc_decode(c2, fab, right)
+            bad |= bad2
+        return (c1 ^ c2) | (c2 << s), bad
     if kind == _RATE0:
-        return 0
+        return 0, 0
+    _, folds, ones, rep = plan
+    if kind == _RATE1:
+        for s in folds:
+            f |= f >> s
+        return v, f & ones
+    x = v & ~f
     if kind == _REP:
-        full = plan[1]
-        return None if f == full else full if v & ~f else 0
-    if kind == _SPC and not f & (f - 1):
-        x = v & ~f
-        return x | f if x.bit_count() & 1 else x
-    return None
+        for s in folds:
+            x |= x >> s
+            f &= f >> s
+        return (x & ones) * rep, f & ones
+    one, two, par = f, 0, x
+    for s in folds:
+        two |= (two >> s) | (one & (one >> s))
+        one |= one >> s
+        par ^= par >> s
+    return x | (f & (par & ones) * rep), two & ones
 
 
 def _bp_known(f: int, frozen: int, n: int, lanes: int = 1) -> int:
     """The coordinates of x that peeling on the butterfly graph determines,
-    in each n-bit lane of ``f`` at once.
+    in every lane of the block ``f`` at once.
 
     The graph has log2(n) + 1 stages of n nodes: stage 0 is x, known off
     the flagged set ``f``, and the last is u = T x, known (zero) on
@@ -953,10 +1028,9 @@ def _bp_known(f: int, frozen: int, n: int, lanes: int = 1) -> int:
     Peeling's fixpoint does not depend on the schedule or on where it
     starts below the fixpoint, so it starts from what the frozen rows
     determine alone (``_frozen_known``), and each lane gets exactly its
-    own known mask, however many sweeps its neighbours take (the masks
-    have period 2h, which divides n, so no step crosses a lane).
-    Returns stage 0's known mask; every value peeling derives is zero on
-    a kernel vector that is zero off ``f``.
+    own known mask, however many sweeps the other lanes take (every step
+    is lane-wise).  Returns stage 0's known mask; every value peeling
+    derives is zero on a kernel vector that is zero off ``f``.
     """
     known = list(_frozen_known(frozen, n, lanes))
     known[0] |= (1 << n * lanes) - 1 & ~f
@@ -1024,39 +1098,39 @@ def select_columns(m: Matrix, cols) -> Matrix:
 
 def columns_independent(m: Matrix, cols) -> bool:
     """Whether the selected columns are linearly independent
-    (``_flags_independent`` on their flag int)."""
+    (``_flags_independent`` on their flag int, one lane)."""
     cs = _as_column_set(cols, m.ncols)
-    return _flags_independent(m, [_flag_int(cs, m.ncols)])[0]
+    return _flags_independent(m, _flag_int(cs, m.ncols), 1)[0]
 
 
-def _flags_independent(m: Matrix, fs: list[int]) -> list[bool]:
-    """For each flag int f in ``fs``, whether the columns of m at the set
-    bits of f are independent.
+def _flags_independent(m: Matrix, f: int, lanes: int) -> list[bool]:
+    """For each lane t of the block of flag ints ``f`` (coordinate j of
+    lane t at bit j * lanes + t), whether the columns of m at lane t's
+    flags are independent.
 
     The one oracle body, over every field.  When m is made of transform
     rows (``Matrix._frozen_rows``), peeling on the butterfly graph
     (``_bp_known``) first determines what it can of a kernel vector that
     is zero off the set, and every such value is zero.  So the set is
     independent exactly when its columns that peeling leaves open are,
-    and elimination runs on those alone.  The sets are peeled together,
-    set t in the lane at offset t * n of one int; a set of more than
-    nrows columns is dependent and stays out of the block.  Other
-    matrices eliminate each whole set.
+    and elimination runs on those alone.  Every lane is peeled at once;
+    a set of more than nrows columns is dependent and is cleared from
+    the block first.  Other matrices eliminate each whole set.
     """
-    n, full = m.ncols, (1 << m.ncols) - 1
-    fits = [f.bit_count() <= m.nrows for f in fs]
+    n, unit = m.ncols, _lane_unit(m.ncols, lanes)
+    out = [(f & unit << t).bit_count() <= m.nrows for t in range(lanes)]
+    fit = sum(1 << t for t in range(lanes) if out[t])
     frozen = m._frozen_rows()
     if frozen is not None:
-        block = sum(f << t * n for t, f in enumerate(fs) if fits[t])
-        block &= ~_bp_known(block, frozen, n, len(fs))
-        fs = [block >> t * n & full for t in range(len(fs))]
-    make_basis, vecs = independence_tracker(m)
-    out = []
-    for f, fit in zip(fs, fits):
-        if fit and f:
-            basis = make_basis()
-            fit = all(basis.insert(vecs[j]) for j in _bit_indices(f, n))
-        out.append(fit)
+        f &= unit * fit
+        f &= ~_bp_known(f, frozen, n, lanes)
+    left = _lanes_any(f, n, lanes) & fit
+    if left:
+        make_basis, vecs = independence_tracker(m)
+        for t, g in enumerate(_lane_ints(f, n, lanes)):
+            if left >> t & 1:
+                basis = make_basis()
+                out[t] = all(basis.insert(vecs[j]) for j in _bit_indices(g, n))
     return out
 
 
@@ -1124,37 +1198,62 @@ def _solve_native(m: Matrix, idx: list[int], yv, d: int):
     return len(pivots), True, negate_vector(m.field, relations[-1][:k])
 
 
-def _erasure_decode(m: Matrix, y, f: int) -> tuple[str, object]:
-    """Fill the flagged coordinates ``f`` of a received word: the one
+def _erasure_decode(m: Matrix, y, f: int, lanes: int) -> tuple[list[str], object]:
+    """Fill the flagged coordinates of a block of received words: the one
     body of erasure decoding, over every field.
 
-    ``y`` is the word in the field's own form (an int over GF(2), bit j =
-    entry j; an int64 residue array over GF(p); a list over the
-    rationals), and whatever its flagged slots hold is ignored.  Returns
-    (status, codeword in the same form, or None), status as in
-    ``codec.DecodeResult``; ``y`` itself is not modified.  Over GF(2),
-    when m is made of transform rows, successive cancellation
-    (``_sc_decode``) proposes c, taken only when it agrees with y off f
-    and T c is zero on the frozen rows: SC returns a word only when every
-    erased leaf is frozen, so the flagged columns are independent and c
-    is the one completion.  Every other case solves for the flagged
-    coordinates from the syndrome on m's cached columns: over GF(2) on
-    the column ints (``_gf2core.solve_packed``), otherwise with the
-    flagged slots of a copy of y zeroed (``_solve_columns``).
+    ``f`` flags each lane's erased coordinates (coordinate j of lane t at
+    bit j * lanes + t).  ``y`` holds the lanes' words in the field's own
+    form: over GF(2) one int in the same layout, otherwise a sequence of
+    ``lanes`` words (int64 residue arrays over GF(p), lists over the
+    rationals).  Whatever the flagged slots hold is ignored, and ``y``
+    itself is not modified.  Returns (each lane's status, as in
+    ``codec.DecodeResult``; the codewords): over GF(2) one int in the
+    lane layout, zero in every lane that is not decoded, otherwise a
+    list with None for those lanes.
+
+    Over GF(2), when m is made of transform rows, successive cancellation
+    (``_sc_decode``) proposes every lane's c in one pass, and a lane's c
+    is taken only when it agrees with y off f and T c is zero on the
+    frozen rows: SC returns a word only when every erased leaf is
+    frozen, so the flagged columns are independent and c is the one
+    completion.  The lanes it rejects, and every lane of any other
+    matrix, are solved one by one (``_fill``).
     """
     n = m.ncols
+    if m.field.kind != GF2:
+        fs = _lane_ints(f, n, lanes)
+        out = [_fill(m, word, _bit_indices(g, n)) for word, g in zip(y, fs)]
+        return [status for status, _ in out], [word for _, word in out]
+    y &= ~f
+    frozen = m._frozen_rows()
+    if frozen is None:
+        c, bad = 0, (1 << lanes) - 1
+    else:
+        c, bad = _sc_decode(y, f, m._node_plan(lanes))
+        wrong = (c ^ y) & ~f | _gf2_transform(c, n, lanes) & _lane_copies(frozen, n, lanes)
+        bad |= _lanes_any(wrong, n, lanes)
+    statuses = ["decoded"] * lanes
+    if bad:
+        ys, fs, cs = (_lane_ints(v, n, lanes) for v in (y, f, c))
+        for t in range(lanes):
+            if bad >> t & 1:
+                statuses[t], word = _fill(m, ys[t], _bit_indices(fs[t], n))
+                cs[t] = word or 0
+        c = _interleave(cs, n)
+    return statuses, c
+
+
+def _fill(m: Matrix, y, idx: list[int]) -> tuple[str, object]:
+    """Solve for the coordinates ``idx`` of one received word from its
+    syndrome on m's cached columns: over GF(2) with y an int that is zero
+    on idx (``_gf2core.solve_packed``), otherwise with the idx slots of a
+    copy of y zeroed (``_solve_native``).  Returns (status, codeword in
+    y's form, or None)."""
     gf2 = m.field.kind == GF2
-    if gf2:
-        y &= ~f
-        frozen = m._frozen_rows()
-        if frozen is not None:
-            c = _sc_decode(y, f, m._node_plan())
-            if c is not None and c & ~f == y and not _gf2_transform(c, n) & frozen:
-                return "decoded", c
-    idx = _bit_indices(f, n)
     if gf2:  # the syndrome is the XOR of the cached columns at y's bits
         cols = m._column_ints()
-        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _xor_at(cols, _int_bits(y, n)))
+        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _xor_at(cols, _int_bits(y, m.ncols)))
     else:
         # y is canonical, so its copy goes through no entry check
         y = y.copy() if isinstance(y, np.ndarray) else list(y)

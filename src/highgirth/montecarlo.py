@@ -7,9 +7,10 @@ and trial t can be replayed in isolation.
 A simulator whose trials are cheap can draw a whole block of them at
 once: ``_raw_words`` runs the same Philox4x64-10 generator on numpy
 arrays, one lane per (trial, counter block), and returns the words each
-trial's ``SubStream`` would.  A simulator that draws trial by trial
-without constructing a generator per trial moves one along the trials
-(``_TrialStream``), with the same words.
+trial's ``SubStream`` would.  A simulator that draws trial by trial,
+``run_trials`` among them, moves one generator along the trials
+(``_TrialStream``) instead of constructing one per trial, with the same
+words.
 """
 from __future__ import annotations
 
@@ -46,6 +47,14 @@ def threshold_u64(p: Fraction) -> int:
     if not 0 <= p <= 1:
         raise ValueError("probability out of range")
     return (p.numerator << 64) // p.denominator
+
+
+def _below(u: np.ndarray, t: int) -> np.ndarray:
+    """uint8 flags u < t of uniform words u, for a threshold t from
+    ``threshold_u64``: all ones when t is 2**64 (p = 1)."""
+    if t >= _WORD:
+        return np.ones(u.shape, np.uint8)
+    return (u < np.uint64(t)).astype(np.uint8)
 
 
 def _check_seed(seed: int) -> None:
@@ -115,10 +124,7 @@ class SubStream:
     def bernoulli_mask(self, n: int, p: Fraction) -> np.ndarray:
         """uint8 vector of n independent Bernoulli(p) draws."""
         t = threshold_u64(p)
-        u = self.raw(n)  # n words at every p, so later draws do not depend on p
-        if t >= _WORD:
-            return np.ones(n, np.uint8)
-        return (u < np.uint64(t)).astype(np.uint8)
+        return _below(self.raw(n), t)  # n words at every p, so later draws do not depend on p
 
     def bits(self, n: int) -> np.ndarray:
         """n fair coin flips as uint8."""
@@ -218,15 +224,24 @@ class TrialReport:
 
 
 def run_trials(trials: int, fn, seed: int, threads: int = 1) -> list:
-    """Evaluate fn(SubStream(seed, t)) for t in range(trials), in order.
+    """Evaluate fn(stream) for t in range(trials), in order, where stream
+    draws exactly the words of ``SubStream(seed, t)``.
 
-    Every trial runs on the calling thread.  ``threads`` must be at least
-    1 and changes neither the output nor the speed: the trial callbacks
-    hold the GIL, so a thread pool only added overhead.  It is kept so
-    callers and the ``--threads`` option keep working.
+    One generator is moved from trial to trial (``_TrialStream``), so the
+    stream passed to ``fn`` is valid only during that call: it must not
+    be kept or drawn from afterwards.  Every trial runs on the calling
+    thread.  ``threads`` must be at least 1 and changes neither the
+    output nor the speed: the trial callbacks hold the GIL, so a thread
+    pool only added overhead.  It is kept so callers and the
+    ``--threads`` option keep working.
     """
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
     if threads < 1:
         raise ValueError("need at least one thread")
-    return [fn(SubStream(seed, t)) for t in range(trials)]
+    stream, out = _TrialStream(seed, 0), []
+    for t in range(trials):
+        if t:
+            stream.next_trial()
+        out.append(fn(stream))
+    return out

@@ -1,5 +1,6 @@
 """Linear codes from check matrices: encoding, decoding, and error bounds."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -548,6 +549,76 @@ def test_mec_error_rate_equals_the_public_trial_loop(monkeypatch):
                 if rep["failures"] < 30:
                     decoded.add(i)
     assert failed == decoded == set(range(len(pcms)))
+
+
+def test_sc_rejected_lanes_are_solved_inside_their_block(monkeypatch):
+    # at n = 64, top:26, p = 2/5, seed 3, SC rejects 21 of 200 trials whose
+    # erased columns are independent; the decoder solves them inside their
+    # block, of 200 lanes at the default size and of 3 at the small one,
+    # and the report stays the public trial loop's
+    code = code_from_pcm(check_matrix(64, F(1, 2), SelectionSpec.top(26)).matrix)
+    want = reference_mec_error_rate(code, F(2, 5), 200, 3)
+    decode, fill = fields._erasure_decode, fields._fill
+    for bits in (codec._LANE_BITS, 3 * 64):
+        lanes, solved = [], []
+
+        def block_decode(m, y, f, size):
+            lanes.append(size)
+            try:
+                return decode(m, y, f, size)
+            finally:
+                lanes.pop()
+
+        def lane_fill(m, y, idx):
+            status, word = fill(m, y, idx)
+            solved.append((lanes[-1], status))
+            return status, word
+
+        with monkeypatch.context() as mp:
+            mp.setattr(codec, "_LANE_BITS", bits)
+            mp.setattr(codec, "_erasure_decode", block_decode)
+            mp.setattr(fields, "_fill", lane_fill)
+            rep = mec_error_rate(code, F(2, 5), 200, 3)
+        assert list(rep.items()) == list(want.items())
+        decoded = [size for size, status in solved if status == "decoded"]
+        assert len(decoded) == 21 and min(decoded) >= 3, bits
+
+
+# SHA-256 of render_report(mec_error_rate(...)) for the cases of
+# report_cases, computed before the decoder ran in lanes
+REPORT_SHA256 = {
+    "c7-1": "41b32689c939c8c36ab0f85c652ab22a6da0552e9286d5262c8e15fe33ed463b",
+    "c7-3": "e2da9efd080de93cd6703d489bba907405664d21045e63f1e1cdd98fc24bd2e5",
+    "c7-4": "152d404a3388dc5102de27540af3f2ba39ae9fb195b4ebcae662fa96347f97f3",
+    "c7-67": "933cdb97f30a33206538132b005fa2c8d967a6392c816c908def49532be75f24",
+    "c7-300": "7f3f9dc71cb7bd13f3742425ddf4627a4df6bb9be35cf20aa8f0a459b514ea7e",
+    "n64-0": "e7fad77a02c174c07fbc23b710c0ba146451f168be7cc2a145cadacccfb0844a",
+    "n64-1/5": "b034408c72cd511d77f031a783b4fd367384c0d1151411b2e57c318335a7fcc6",
+    "n64-1/2": "c86cb19be3730ad164ecea7f0b1dcefbf84473d7b90f2fbec22da67bb9ee9207",
+    "n64-1": "35924044f23a3bf96e4de4e70a064937897c7aa2f14f46e6eee8a97e683814b7",
+    "n64-permuted": "404c9e90d7af736a1840ec8015547cfb20c990e4e1572d2eae047af20eeb9a3d",
+    "n64-gf3": "a590f74aa4274e236ce463889de3ccb3219c58b5d1e63183065296a0fdd09dce",
+}
+
+
+def report_cases():
+    """(name, check matrix, p, trials, seed) of each pinned report."""
+    c7 = check_matrix(1024, F(2, 5), SelectionSpec.top(614)).matrix
+    for trials in (1, 3, 4, 67, 300):  # one lane, ragged blocks, 64 lanes and more
+        yield f"c7-{trials}", c7, F(2, 5), trials, 71
+    m64 = check_matrix(64, F(1, 2), SelectionSpec.top(26)).matrix
+    for p in (F(0), F(1, 5), F(1, 2), F(1)):
+        yield f"n64-{p}", m64, p, 200, 3
+    yield "n64-permuted", permuted_columns(m64, 64), F(1, 5), 200, 3
+    yield "n64-gf3", check_matrix(64, F(1, 2), SelectionSpec.top(26), FieldSpec.gfp(3)).matrix, F(1, 5), 40, 29
+
+
+def test_mec_error_rate_report_bytes_are_pinned():
+    got = {
+        name: hashlib.sha256(render_report(mec_error_rate(code_from_pcm(m), p, trials, seed)).encode()).hexdigest()
+        for name, m, p, trials, seed in report_cases()
+    }
+    assert got == REPORT_SHA256
 
 
 @pytest.mark.parametrize("field", [GF2, FieldSpec.gfp(3)], ids=str)

@@ -787,16 +787,17 @@ def eliminated_independent(m, cols):
 
 
 def test_sc_decode_succeeds_exactly_on_certified_leaves():
-    # on the zero codeword SC returns a word (0) exactly when every
-    # flagged leaf is frozen
+    # on the zero codeword SC leaves the lane unfailed, with the word 0,
+    # exactly when every flagged leaf is frozen
     rng = random.Random(3)
     for n in (1, 2, 4, 8, 16):
         for frozen in [list(range(n)), []] + [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(6)]:
             certified = sc_certified(n, frozen)
             pats = range(1 << n) if n <= 8 else rng.sample(range(1 << n), 3000)
             for f in pats:
-                got = _sc_decode(0, f, _sc_plan(mask(frozen), n))
-                assert got == (0 if certified[f] else None), (n, frozen, f)
+                word, failed = _sc_decode(0, f, _sc_plan(mask(frozen), n))
+                got = None if failed else word
+                assert failed in (0, 1) and got == (0 if certified[f] else None), (n, frozen, f)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
@@ -819,11 +820,13 @@ def test_erasure_decode_takes_each_fields_own_word_and_leaves_it_alone(field):
         else:
             want, y = c, fields.vector(field, junk)
         before = y if field == GF2 else (y.copy() if isinstance(y, np.ndarray) else list(y))
-        status, word = fields._erasure_decode(pcm, y, f)
+        (status,), word = fields._erasure_decode(pcm, y if field == GF2 else [y], f, 1)
+        word = word if field == GF2 else word[0]
         assert status == "decoded" and type(word) is type(want)
         assert fields.vectors_equal(word, want) and fields.vectors_equal(y, before)
         assert word is not y
-    assert fields._erasure_decode(pcm, y, 0b11111) == ("ambiguous", None)
+    failed = 0 if field == GF2 else [None]
+    assert fields._erasure_decode(pcm, y if field == GF2 else [y], 0b11111, 1) == (["ambiguous"], failed)
 
 
 def test_sc_node_plan_matches_subset_solve_exhaustive_n8():
@@ -862,11 +865,87 @@ def test_sc_node_plan_matches_subset_solve_exhaustive_n8():
                 want = y | sum(1 << j for i, j in enumerate(idx) if x[i])
                 assert want == c
             for received in (y, y | (rng.randrange(1 << n) & f)):
-                got = fields._sc_decode(received, f, plan)
+                word, failed = fields._sc_decode(received, f, plan)
+                got = None if failed else word
                 assert got == (want if certified[f] else None), (frozen_mask, f, received)
             status = "decoded" if want is not None else "ambiguous"
-            assert fields._erasure_decode(pcm, y, f) == (status, want), (frozen_mask, f)
+            assert fields._erasure_decode(pcm, y, f, 1) == ([status], want or 0), (frozen_mask, f)
     assert kinds == {fields._RATE0, fields._RATE1, fields._REP, fields._SPC, fields._MIXED}
+
+
+def test_laned_sc_equals_one_lane_sc_and_subset_solve_exhaustive():
+    # every frozen mask and every erasure pattern at n <= 8, with junk in
+    # the erased slots, run in blocks of 1, 2, 3 and 7 lanes: each lane's
+    # failed bit, and its word where it did not fail, equal one-lane SC,
+    # and the decoder's status and word for each lane equal _solve_columns
+    # (SC-rejected lanes are solved inside the block; the one-lane
+    # decoder is checked against _solve_columns at n = 8 above)
+    rng = random.Random(1701)
+    for n in (1, 2, 4, 8):
+        for frozen_mask in range(1 << n):
+            pcm = fields._transform_rows(GF2, n, [i for i in range(n) if frozen_mask >> i & 1])
+            gen_ints, cols = fields._generator(pcm)[1], pcm._column_ints()
+            cases = []
+            for f in range(1 << n):
+                c = 0
+                for g in gen_ints:
+                    c ^= g * rng.randrange(2)
+                idx = [j for j in range(n) if f >> j & 1]
+                syn = 0
+                for j in range(n):
+                    if (c & ~f) >> j & 1:
+                        syn ^= cols[j]
+                rk, ok, x = fields._solve_columns(pcm, idx, fields._int_bits(syn, pcm.nrows))
+                assert ok
+                want = c if rk == len(idx) else None
+                if want is not None:
+                    assert c & ~f | sum(1 << j for i, j in enumerate(idx) if x[i]) == c
+                received = c & ~f | rng.getrandbits(n) & f
+                status = "decoded" if want is not None else "ambiguous"
+                cases.append((received, f, status, want or 0, *_sc_decode(received, f, pcm._node_plan(1))))
+            rng.shuffle(cases)
+            for lanes in (1, 2, 3, 7):
+                for start in range(0, len(cases), lanes):
+                    block = cases[start : start + lanes]
+                    size = len(block)
+                    y, f = (interleaved([case[i] for case in block], n) for i in (0, 1))
+                    word, failed = _sc_decode(y, f, pcm._node_plan(size))
+                    for t, (_, ft, _, _, w1, failed1) in enumerate(block):
+                        assert failed >> t & 1 == failed1, (n, frozen_mask, ft, lanes)
+                        assert failed1 or lane(word, t, size, n) == w1, (n, frozen_mask, ft, lanes)
+                    assert not failed >> size
+                    if lanes > 1:
+                        statuses, words = fields._erasure_decode(pcm, y, f, size)
+                        assert statuses == [case[2] for case in block] and not words >> n * size
+                        assert [lane(words, t, size, n) for t in range(size)] == [case[3] for case in block]
+
+
+def test_laned_sc_blocks_at_n1024():
+    # random blocks of criterion 7's code in 1, 4 and 64 lanes, around the
+    # rate where SC starts to fail: every lane equals the one-lane run
+    cm = check_matrix(1024, Fraction(2, 5), SelectionSpec.top(614))
+    pcm, n = cm.matrix, 1024
+    rng = np.random.default_rng(1024)
+    info = pcm._message_rows()
+    one = pcm._node_plan(1)
+    seen = set()
+    for lanes in (1, 4, 64):
+        u = np.zeros((lanes, n), np.uint8)
+        u[:, info] = rng.integers(0, 2, (lanes, len(info)))
+        sent = [fields._gf2_transform(fields._bits_int(row), n) for row in u]
+        flags = [fields._bits_int(rng.random(n) < rng.choice([0.3, 0.46, 0.6])) for _ in range(lanes)]
+        junk = [fields._bits_int(rng.integers(0, 2, n)) & f for f in flags]
+        y, f = interleaved([c ^ j for c, j in zip(sent, junk)], n), interleaved(flags, n)
+        word, failed = _sc_decode(y & ~f, f, pcm._node_plan(lanes))
+        statuses, words = fields._erasure_decode(pcm, y, f, lanes)
+        for t in range(lanes):
+            w1, failed1 = _sc_decode(sent[t] & ~flags[t], flags[t], one)
+            assert failed >> t & 1 == failed1 and (failed1 or lane(word, t, lanes, n) == w1 == sent[t])
+            (status,), w = fields._erasure_decode(pcm, sent[t] ^ junk[t], flags[t], 1)
+            assert statuses[t] == status and lane(words, t, lanes, n) == w
+            assert w == (sent[t] if status == "decoded" else 0)
+            seen.add((bool(failed1), status))
+    assert {(False, "decoded"), (True, "decoded"), (True, "ambiguous")} <= seen
 
 
 def test_sc_certificate_is_sound_gf2_n16():
@@ -894,10 +973,24 @@ def test_bp_certifies_every_sc_certified_set_n8():
     assert more  # peeling certifies sets that SC leaves open
 
 
+def interleaved(vs, n):
+    """The lane block of the n-bit ints vs: bit j of vs[t] at j * len(vs) + t."""
+    bits = ["0"] * (n * len(vs))
+    for t, v in enumerate(vs):
+        bits[t :: len(vs)] = format(v, f"0{n}b")[::-1]
+    return int("".join(bits)[::-1], 2)
+
+
+def lane(block, t, lanes, n):
+    """Lane t of a block of ``lanes`` lanes, as an n-bit int."""
+    return int(format(block, f"0{n * lanes}b")[::-1][t::lanes][:n][::-1], 2)
+
+
 def test_laned_peeling_and_transform_equal_the_per_lane_ones():
-    # lane t holds the n bits at offset t * n; no butterfly step crosses a
-    # lane, and peeling's fixpoint does not depend on how many sweeps the
-    # other lanes need, so each lane gets its own known mask bit for bit;
+    # coordinate j of lane t is bit j * lanes + t; every butterfly step
+    # is lane-wise, and peeling's fixpoint does not depend on how many
+    # sweeps the other lanes need, so each lane gets its own known mask
+    # bit for bit;
     # ragged blocks (lane counts that are not powers of two), empty and
     # full erased sets, and every size from n = 1 to 1024; and peeling
     # from the frozen rows' own masks reaches the fixpoint peeling from
@@ -912,12 +1005,12 @@ def test_laned_peeling_and_transform_equal_the_per_lane_ones():
         for lanes in (1, 2, 3, 7, len(sets)):
             for start in range(0, len(sets), lanes):
                 block = sets[start : start + lanes]
-                f = sum(v << t * n for t, v in enumerate(block))
+                f = interleaved(block, n)
                 known = _bp_known(f, frozen, n, len(block))
                 x = fields._gf2_transform(f, n, len(block))
                 for t, v in enumerate(block):
-                    assert known >> t * n & full == _bp_known(v, frozen, n), (n, lanes, t)
-                    assert x >> t * n & full == fields._gf2_transform(v, n), (n, lanes, t)
+                    assert lane(known, t, len(block), n) == _bp_known(v, frozen, n), (n, lanes, t)
+                    assert lane(x, t, len(block), n) == fields._gf2_transform(v, n), (n, lanes, t)
                 assert not known >> len(block) * n and not x >> len(block) * n
         for v in sets:
             stages = [full & ~v] + [0] * (n.bit_length() - 1)

@@ -180,6 +180,28 @@ def test_run_trials_runs_in_order_on_the_calling_thread():
             run_trials(5, trial, seed=3, threads=bad)
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_run_trials_moves_one_stream_through_fresh_substreams(seed):
+    # one stream is moved from trial to trial, and each trial draws
+    # exactly SubStream(seed, t)'s words whatever the trials before it
+    # drew: raw words, bits and symbols_mod at q = 3 (the rejection path)
+    def draws(stream, t):
+        return [
+            stream.raw(1 + t % 5).tolist(),
+            stream.bits(3 + t % 4).tolist(),
+            stream.symbols_mod(2 + t % 7, 3).tolist(),
+        ]
+
+    streams = []
+
+    def trial(stream):
+        streams.append(stream)
+        return draws(stream, len(streams) - 1)
+
+    assert run_trials(12, trial, seed) == [draws(SubStream(seed, t), t) for t in range(12)]
+    assert len(set(map(id, streams))) == 1
+
+
 def test_run_trials_passes_distinct_streams():
     def trial(stream):
         return int(stream.raw(1)[0])
