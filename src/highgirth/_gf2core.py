@@ -14,8 +14,17 @@ independent of the columns before it, which is the pivot set of the
 reduced row echelon form (lowest column first).  So the kernel basis
 and the free-variables-zero solution read off the tags are the
 canonical ones, whatever the elimination order inside.
+
+The packing helpers at the end convert between those ints, 0/1 numpy
+vectors, and rows packed into little-endian 64-bit words.
 """
 from __future__ import annotations
+
+import functools
+import itertools
+import operator
+
+import numpy as np
 
 
 def insert(basis: dict[int, int], v: int, floor: int = 1) -> int | None:
@@ -75,3 +84,62 @@ def rank_packed(vectors: list[int]) -> int:
     """Number of linearly independent vectors among ``vectors``."""
     basis: dict[int, int] = {}
     return sum(insert(basis, v) is None for v in vectors)
+
+
+# ---------------------------------------------------------------------------
+# GF(2) packing helpers
+
+
+def _nwords(ncols: int) -> int:
+    return (ncols + 63) >> 6
+
+
+def _pack_rows_u8(rows: np.ndarray) -> np.ndarray:
+    """Pack a (m, n) 0/1 array into (m, ceil(n/64)) uint64 words."""
+    m, n = rows.shape
+    nw = _nwords(n)
+    if m == 0 or n == 0:
+        return np.zeros((m, nw), np.uint64)
+    by = np.packbits(rows.astype(np.uint8, copy=False), axis=1, bitorder="little")
+    full = np.zeros((m, nw * 8), np.uint8)
+    full[:, : by.shape[1]] = by
+    return full.view("<u8").astype(np.uint64, copy=False)
+
+def _unpack_bits(bits: np.ndarray, ncols: int) -> np.ndarray:
+    """Inverse of _pack_rows_u8; returns a (m, ncols) uint8 array."""
+    m = bits.shape[0]
+    if m == 0 or ncols == 0:
+        return np.zeros((m, ncols), np.uint8)
+    by = np.ascontiguousarray(bits, dtype="<u8").view(np.uint8)
+    return np.unpackbits(by, axis=1, bitorder="little")[:, :ncols]
+
+
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """Packed rows as Python ints, bit j = column j."""
+    m, nw = bits.shape
+    raw = np.ascontiguousarray(bits, dtype="<u8").tobytes()
+    step = nw * 8
+    return [int.from_bytes(raw[i * step : (i + 1) * step], "little") for i in range(m)]
+
+
+def _bits_int(bits: np.ndarray) -> int:
+    """A 0/1 vector as an int, bit j = entry j."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _int_bits(v: int, ncols: int) -> np.ndarray:
+    """Inverse of _bits_int; returns an ncols-entry uint8 vector."""
+    by = np.frombuffer(v.to_bytes((ncols + 7) >> 3, "little"), np.uint8)
+    return np.unpackbits(by, bitorder="little")[:ncols]
+
+
+def _xor_at(ints, bits: np.ndarray) -> int:
+    """The XOR of ints[j] over the ones j of a 0/1 vector."""
+    return functools.reduce(operator.xor, itertools.compress(ints, bits.tolist()), 0)
+
+
+def _rows_packed(ints, ncols: int) -> np.ndarray:
+    """Inverse of _row_ints; returns (len(ints), ceil(ncols/64)) uint64 words."""
+    nw = _nwords(ncols)
+    raw = b"".join(v.to_bytes(nw * 8, "little") for v in ints)
+    return np.frombuffer(raw, "<u8").reshape(len(ints), nw).astype(np.uint64)

@@ -24,6 +24,7 @@ from .codec import (
     channel_bounds,
     code_from_pcm,
     mec_error_rate,
+    render_report,
     tail_dominated,
     weight_enumerator,
 )
@@ -62,7 +63,7 @@ EXACT_PROFILE_DEFAULT_CAP = 1 << 10
 
 
 def _emit(report: dict, json_path: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+    text = render_report(report)
     sys.stdout.write(text)
     if json_path:
         _write_text(json_path, text)

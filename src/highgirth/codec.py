@@ -1,30 +1,15 @@
 """Linear codes from check matrices: encoding, decoding, and error bounds.
 
-One erasure decoder serves every field.  Its one body is
-``fields._erasure_decode``, which takes a block of received words in
-the field's own form (one Python int over GF(2)) and their erased sets
-as one flag int; ``mec_decode`` is its adapter, with one lane.  Over
-GF(2), on a check matrix made of transform rows, it decodes by
-successive cancellation (``fields._sc_decode``, on a node plan in a
-bounded cache) and keeps a lane's result only after checking it
-against the received word and the checks; every other case solves for
-the erased coordinates from the syndrome on the check matrix's cached
-columns (``fields._fill``).  The decoder fails exactly when the
-check-matrix columns at the erased positions are linearly dependent,
-and the simulator verifies that equivalence on every trial through a
-separate oracle, whose one body is ``fields._flags_independent``
-(``columns_independent`` is its public adapter).  On a check matrix of
-transform rows the oracle peels on the butterfly graph and eliminates
-only the columns peeling leaves open, so it shares no certificate with
-the decoder.  A trial of ``mec_error_rate`` keeps the codeword in its
-field's own form and the erased set as a flag int from the draws to the
-verdicts, and calls both bodies directly.  Trials run in lane blocks:
-coordinate j of trial t of an L-lane block is bit j * L + t of one int,
-the oracle peels every lane of the block in one pass, and over GF(2)
-successive cancellation decodes every lane in one recursion.  Over GF(2)
-on a check matrix of transform rows the block's codewords are c = T u,
-one lane transform, with u zero on the frozen rows and the message bits
-elsewhere.
+One erasure decoder serves every field: ``mec_decode`` is the one-lane
+adapter of its body, ``fields._erasure_decode``.  The decoder fails
+exactly when the check-matrix columns at the erased positions are
+linearly dependent, and the simulator, ``mec_error_rate``, verifies that
+equivalence on every trial through a separate oracle, whose one body is
+``fields._flags_independent`` (``columns_independent`` is its public
+adapter).  The simulator runs its trials in lane blocks and calls both
+bodies directly.  The lane layout, and how the decoder and the oracle
+use the butterfly graph on a check matrix of transform rows, are
+described in ``_butterfly``.
 
 The crossing-channel side is exact where it can be: the weight
 enumerator is computed by full codeword enumeration (budgeted), the
@@ -46,6 +31,8 @@ import numpy as np
 from .channels import ChannelOutput, bhattacharyya_upper
 from .channels import bsc_transmit  # noqa: F401 - perfbench/layers.py wraps it here
 from .channels import mec_transmit  # noqa: F401 - perfbench/layers.py wraps it here
+from ._butterfly import _flag_int, _interleave, _lanes_any, _polar_block
+from ._gf2core import _bits_int, _int_bits, _pack_rows_u8, _rows_packed, _xor_at
 from .fields import (
     GF2,
     GFP,
@@ -54,19 +41,10 @@ from .fields import (
     FieldSpec,
     Matrix,
     _as_column_set,
-    _bits_int,
     _erasure_decode,
-    _flag_int,
     _flags_independent,
     _generator,
-    _gf2_transform,
-    _int_bits,
-    _interleave,
-    _lanes_any,
-    _pack_rows_u8,
-    _rows_packed,
     _scaled_sum,
-    _xor_at,
     columns_independent,  # noqa: F401 - perfbench/layers.py wraps it here
     kernel,  # noqa: F401 - perfbench/layers.py wraps it here
     matvec,
@@ -174,16 +152,15 @@ def mec_decode(code: LinearCode, output: ChannelOutput) -> DecodeResult:
     and y the received word with its erased slots zeroed: whatever
     symbols those slots hold are ignored, so a "decoded" word always
     satisfies the checks.  The word is canonicalized with ``vector`` and
-    the erased set made a flag int; ``fields._erasure_decode`` decodes
-    them (over GF(2) on ints, successive cancellation first on a check
-    matrix of transform rows).
+    the erased set made a flag int, and ``fields._erasure_decode`` decodes
+    them.
     """
     word = vector(code.field, output.symbols)
     erased = _as_column_set(output.flagged, code.n, "erased")
     if len(word) != code.n:
         raise ValueError(f"received word length {len(word)} != n={code.n}")
     gf2 = code.field.kind == GF2
-    statuses, c = _erasure_decode(code.pcm, _bits_int(word) if gf2 else [word], _flag_int(erased, code.n), 1)
+    statuses, c = _erasure_decode(code.pcm, _bits_int(word) if gf2 else [word], _flag_int(erased.indices, code.n), 1)
     if statuses[0] != "decoded":
         c = None
     elif gf2:
@@ -230,32 +207,20 @@ def mec_error_rate(
 
     Each trial draws a message, encodes, erases, decodes, and also asks
     the oracle whether the erased columns of the check matrix are
-    dependent.  On a matrix of transform rows the oracle peels on the
-    butterfly graph and eliminates the columns left open, and over GF(2)
-    the decoder runs successive cancellation on the values; otherwise
-    the decoder solves and the oracle eliminates the whole set.  The two
-    verdicts must agree trial by trial; disagreements are counted and
-    reported (and indicate a bug).
+    dependent.  The two verdicts must agree trial by trial;
+    disagreements are counted and reported (and indicate a bug).
 
     Trials run in blocks of ``_LANE_BITS // n`` lanes (at least one), in
-    one interleaved layout: coordinate j of trial t of a block is bit
-    j * L + t of one int, L the block's lane count.  The erased sets are
-    one flag block, and the oracle, ``fields._flags_independent``, peels
-    every lane in one pass and eliminates each lane's residue.  The
-    decoder, ``fields._erasure_decode``, takes the block's words in its
-    field's own form: over GF(2) one int in the same layout, on which
-    successive cancellation decodes every lane in one recursion and only
-    the lanes it rejects are solved one by one; over the other fields a
-    list of the lanes' words.  Over GF(2) the check against the sent
-    words is one fold of the block to a lane mask.  Over GF(2) on a
-    matrix of transform rows the block's codewords are c = T u, one lane
-    transform for the block, with u zero on the frozen rows and the
-    message bits on the others in order, so every c is a codeword; it is
-    not ``encode``'s codeword for the message, but over GF(2) a trial's
-    verdicts depend only on its erased set.  Other GF(2) matrices sum
-    generator rows, GF(p) calls ``encode``, and over the rationals the
-    zero codeword is sent (failure is codeword-independent for a linear
-    code).
+    ``_butterfly``'s lane layout: the block's erased sets are one flag
+    int, and over GF(2) its words are one int too, so the check against
+    the sent words is one fold to a lane mask.  Over GF(2) on a matrix
+    of transform rows the block's codewords are ``_polar_block``'s, with
+    the message bits on the rows that are not frozen, so every c is a
+    codeword; it is not ``encode``'s codeword for the message, but over
+    GF(2) a trial's verdicts depend only on its erased set.  Other GF(2)
+    matrices sum generator rows, GF(p) calls ``encode``, and over the
+    rationals the zero codeword is sent (failure is codeword-independent
+    for a linear code).
 
     Trial t draws from the words of ``SubStream(seed, t)`` in a fixed
     order: message first (``symbols_mod``, which at q = 2 gives the words
@@ -294,9 +259,7 @@ def mec_error_rate(
             words[:, t] = stream.raw(kw + n)
         f = _bits_int(_below(words[kw:], thr))
         if frozen is not None:
-            u = np.zeros((n, size), np.uint8)
-            u[pcm._message_rows()] = words[:k] & np.uint64(1)
-            sent = _gf2_transform(_bits_int(u), n, size)
+            sent = _polar_block(frozen, n, words[:k] & np.uint64(1))
         elif gf2:
             sent = _interleave([_xor_at(code.gen_ints, b) for b in (words[:k] & np.uint64(1)).T], n)
         elif q:

@@ -5,12 +5,12 @@ The n x n Sierpinski matrix (n a power of two) has a 1 at (i, j), both
 Its entries are 0/1, so it is a matrix over any field; it is unit upper
 triangular (full rank everywhere), its own inverse over GF(2), and
 applying it to a vector costs n log n field operations via a butterfly,
-one body for every field.  Its rows come from one builder,
-``fields._transform_rows``: ``sierpinski`` takes all of them, a check
-matrix takes the selected ones, and ``read_check_matrix`` checks a
-sidecar by rebuilding its rows and comparing.  ``sierpinski_row`` stays
-a separate one-row form, so the exhaustive oracles below do not share
-the builder.
+one body for every field (``_butterfly._array_transform``).  Its rows
+come from one builder, ``fields._transform_rows``: ``sierpinski`` takes
+all of them, a check matrix takes the selected ones, and
+``read_check_matrix`` checks a sidecar by rebuilding its rows and
+comparing.  ``sierpinski_row`` stays a separate one-row form, so the
+exhaustive oracles below do not share the builder.
 
 A check matrix keeps the rows whose profile value survives a selection
 rule.  Because the full transform is invertible, any row subset is
@@ -27,6 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._butterfly import _array_transform
+from ._gf2core import _bits_int
 from ._gf2core import rank_packed  # noqa: F401 - perfbench/layers.py wraps it here
 from .fields import (
     GF2,
@@ -36,7 +38,6 @@ from .fields import (
     FieldSpec,
     Matrix,
     VectorBasis,
-    _bits_int,
     _read_text,
     _transform_rows,
     _write_text,
@@ -88,10 +89,9 @@ EXACT_SELECTION_CAP = 1 << 8
 RANK_VERIFY_CAP = 1 << 10
 
 
-def _require_pow2(n: int) -> int:
+def _require_pow2(n: int) -> None:
     if n < 1 or n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
-    return n.bit_length() - 1
 
 
 def sierpinski_row(n: int, i: int) -> np.ndarray:
@@ -120,26 +120,12 @@ def sierpinski(n: int, field: FieldSpec = FieldSpec.gf2()) -> Matrix:
 
 
 def sierpinski_transform(field: FieldSpec, x, inverse: bool = False):
-    """Apply the transform (or its inverse) to a length-n vector.
-
-    One butterfly pass per index bit h adds (inverse: subtracts) each
-    entry with bit h set into its partner with bit h clear, reducing mod
-    the field order when there is one.  The passes commute.  Over GF(2)
-    adding and subtracting agree, so the map is an involution.
-    """
+    """Apply the transform (or its inverse) to a length-n vector, n a
+    power of two: an array over GF(2) and GF(p), a list over the
+    rationals.  Over GF(2) the map is an involution."""
     v = vector(field, x)
-    k = _require_pow2(len(v))
-    q = field.order
-    a = np.array(v, dtype=None if q else object)
-    for h in (1 << b for b in range(k)):
-        w = a.reshape(-1, 2, h)
-        if inverse:
-            w[:, 0] -= w[:, 1]
-        else:
-            w[:, 0] += w[:, 1]
-        if q:
-            w[:, 0] %= q
-    return a if q else a.tolist()
+    _require_pow2(len(v))
+    return _array_transform(v, field.order, inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -43,28 +43,12 @@ A matrix made of rows of T, as every check matrix is, is recognized
 from its entries by rebuilding and comparing (``Matrix._frozen_rows``):
 each row's first nonzero column names the only row of T it can be, and
 the builder's rows at those columns must equal the matrix.  Its kernel
-is the polar code with those rows frozen, and two algorithms on the
-butterfly graph of T serve it.  The erasure decoder, ``_erasure_decode``,
-is one body over every field; over GF(2) it proposes codewords by
-successive cancellation (``_sc_decode``, values on Python ints), and it
-solves on the cached columns otherwise.  SC walks a node plan
-(``_sc_plan``, in a bounded cache): nodes whose frozen leaves are all,
-none, all but the last (repetition) or only the first (single parity
-check) decode without their children.  The independence oracle,
-``_flags_independent``, peels instead (``_bp_known``, erasure belief
-propagation, the same over every field): a kernel vector that is zero
-off the selected columns is zero wherever peeling determines it, so
-elimination runs only on the columns peeling leaves open, and every
-other matrix eliminates the whole set.  Both bodies take a block of L
-lanes, each an erased or selected set, as one flag int in an
-interleaved layout: column j of lane t is bit j * L + t.  With that
-layout every butterfly step on all lanes at once is the one-lane step
-with h replaced by h * L, and a node's halves are still v & lo and
-v >> h * L.  So the oracle peels every lane in one pass, SC decodes
-every lane in one recursion, and only the lanes SC rejects are solved
-one by one.  ``codec.mec_decode`` and ``columns_independent`` are their
-adapters, with L = 1, and ``codec.mec_error_rate`` calls them on its
-blocks of trials.
+is a polar code, served on T's butterfly graph (``_butterfly``, which
+also holds the lane layout of blocks of words and flags).  The erasure
+decoder, ``_erasure_decode``, and the independence oracle,
+``_flags_independent``, are one body each over every field, on such a
+block; ``codec.mec_decode`` and ``columns_independent`` are their
+adapters, with one lane.
 
 Text files are written through ``_write_text``: to a stream, or to a
 path through a sibling temporary file renamed into place, created with
@@ -77,10 +61,8 @@ reads and writes.  The plain accessors ``entry``/``row``/``column`` are
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,6 +70,20 @@ from fractions import Fraction
 import numpy as np
 
 from . import _gf2core
+from ._butterfly import (
+    _bit_indices,
+    _bp_known,
+    _flag_int,
+    _gf2_transform,
+    _interleave,
+    _lane_copies,
+    _lane_ints,
+    _lane_unit,
+    _lanes_any,
+    _sc_decode,
+    _sc_plan,
+)
+from ._gf2core import _bits_int, _int_bits, _nwords, _pack_rows_u8, _row_ints, _rows_packed, _unpack_bits, _xor_at
 
 __all__ = [
     "FieldSpec",
@@ -356,65 +352,6 @@ def _rational_entry(v) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) packing helpers
-
-
-def _nwords(ncols: int) -> int:
-    return (ncols + 63) >> 6
-
-
-def _pack_rows_u8(rows: np.ndarray) -> np.ndarray:
-    """Pack a (m, n) 0/1 array into (m, ceil(n/64)) uint64 words."""
-    m, n = rows.shape
-    nw = _nwords(n)
-    if m == 0 or n == 0:
-        return np.zeros((m, nw), np.uint64)
-    by = np.packbits(rows.astype(np.uint8, copy=False), axis=1, bitorder="little")
-    full = np.zeros((m, nw * 8), np.uint8)
-    full[:, : by.shape[1]] = by
-    return full.view("<u8").astype(np.uint64, copy=False)
-
-def _unpack_bits(bits: np.ndarray, ncols: int) -> np.ndarray:
-    """Inverse of _pack_rows_u8; returns a (m, ncols) uint8 array."""
-    m = bits.shape[0]
-    if m == 0 or ncols == 0:
-        return np.zeros((m, ncols), np.uint8)
-    by = np.ascontiguousarray(bits, dtype="<u8").view(np.uint8)
-    return np.unpackbits(by, axis=1, bitorder="little")[:, :ncols]
-
-
-def _row_ints(bits: np.ndarray) -> list[int]:
-    """Packed rows as Python ints, bit j = column j."""
-    m, nw = bits.shape
-    raw = np.ascontiguousarray(bits, dtype="<u8").tobytes()
-    step = nw * 8
-    return [int.from_bytes(raw[i * step : (i + 1) * step], "little") for i in range(m)]
-
-
-def _bits_int(bits: np.ndarray) -> int:
-    """A 0/1 vector as an int, bit j = entry j."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _int_bits(v: int, ncols: int) -> np.ndarray:
-    """Inverse of _bits_int; returns an ncols-entry uint8 vector."""
-    by = np.frombuffer(v.to_bytes((ncols + 7) >> 3, "little"), np.uint8)
-    return np.unpackbits(by, bitorder="little")[:ncols]
-
-
-def _xor_at(ints, bits: np.ndarray) -> int:
-    """The XOR of ints[j] over the ones j of a 0/1 vector."""
-    return functools.reduce(operator.xor, itertools.compress(ints, bits.tolist()), 0)
-
-
-def _rows_packed(ints, ncols: int) -> np.ndarray:
-    """Inverse of _row_ints; returns (len(ints), ceil(ncols/64)) uint64 words."""
-    nw = _nwords(ncols)
-    raw = b"".join(v.to_bytes(nw * 8, "little") for v in ints)
-    return np.frombuffer(raw, "<u8").reshape(len(ints), nw).astype(np.uint64)
-
-
-# ---------------------------------------------------------------------------
 # the matrix type
 
 
@@ -596,22 +533,6 @@ class Matrix:
                     frozen = sum(1 << i for i in set(leads))
             self._cache["frozen"] = frozen
         return self._cache["frozen"]
-
-    def _node_plan(self, lanes: int = 1) -> tuple:
-        """``_sc_plan`` of ``_frozen_rows()``, which must not be None, on
-        blocks of ``lanes`` lanes; kept in ``_sc_plan``'s bounded cache."""
-        return _sc_plan(self._frozen_rows(), self.ncols, lanes)
-
-    def _message_rows(self) -> np.ndarray:
-        """The rows of u = T x not in ``_frozen_rows()``, which must not be
-        None, ascending: where a polar-form codeword carries its message.
-        Cached."""
-        rows = self._cache.get("message")
-        if rows is None:
-            n = self.ncols
-            rows = self._cache["message"] = np.flatnonzero(_int_bits(~self._frozen_rows() & (1 << n) - 1, n))
-            rows.setflags(write=False)
-        return rows
 
     # -- dunder -------------------------------------------------------
 
@@ -829,245 +750,6 @@ def _transform_rows(field: FieldSpec, n: int, idx) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# successive cancellation and peeling on the butterfly graph of the transform
-#
-# u = T x, with T the n x n transform (T[i, j] = 1 when i & ~j == 0), is n
-# log2 n butterflies: for each index bit h, the entry j with bit h clear
-# gains the entry j + h.  A matrix of the rows ``frozen`` of T has the
-# kernel {x : u_i = 0 for i in frozen}, the polar code with those rows
-# frozen.  Ints carry blocks of vectors and masks in one interleaved lane
-# layout: in a block of L lanes, coordinate j of lane t is bit j * L + t
-# (one lane: bit j = coordinate j).  So a butterfly step on every lane at
-# once is the one-lane step with h replaced by h * L, and a node's two
-# halves are still v & lo and v >> h * L.
-
-
-@functools.lru_cache(maxsize=16)
-def _sc_masks(n: int, lanes: int = 1) -> tuple[tuple[int, int], ...]:
-    """(h * lanes, the bits of the coordinates j with j & h == 0) for
-    h = n/2, ..., 1, on a block of ``lanes`` lanes of n coordinates."""
-    full = (1 << n * lanes) - 1
-    return tuple(
-        (s, full // ((1 << 2 * s) - 1) * ((1 << s) - 1))
-        for s in (n * lanes >> k for k in range(1, n.bit_length()))
-    )
-
-
-@functools.lru_cache(maxsize=16)
-def _lane_copies(v: int, n: int, lanes: int) -> int:
-    """The n-bit int v in every lane of a block: bit j of v becomes the
-    ``lanes`` bits of coordinate j."""
-    return _bits_int(np.repeat(_int_bits(v, n), lanes))
-
-
-def _lane_ints(v: int, n: int, lanes: int) -> list[int]:
-    """Each lane of a block as an n-bit int, bit j = coordinate j."""
-    if lanes == 1:
-        return [v]
-    return _row_ints(_pack_rows_u8(_int_bits(v, n * lanes).reshape(n, lanes).T))
-
-
-def _interleave(vs: list[int], n: int) -> int:
-    """The block whose lane t is the n-bit int vs[t]; the inverse of
-    ``_lane_ints``."""
-    if len(vs) == 1:
-        return vs[0]
-    return _bits_int(_unpack_bits(_rows_packed(vs, n), n).T)
-
-
-@functools.lru_cache(maxsize=16)
-def _lane_unit(n: int, lanes: int) -> int:
-    """Bit j * lanes for every coordinate j: times a lanes-bit mask, the
-    block holding that mask at every coordinate."""
-    return ((1 << n * lanes) - 1) // ((1 << lanes) - 1)
-
-
-def _lanes_any(v: int, n: int, lanes: int) -> int:
-    """The lanes in which a block of n coordinates has a set bit, as a
-    mask with bit t for lane t.
-
-    Each step ORs the upper half of the coordinates that are left onto
-    the lower half; the bits above it are never read again.
-    """
-    s = lanes << (n - 1).bit_length()
-    while s > lanes:
-        s >>= 1
-        v |= v >> s
-    return v & (1 << lanes) - 1
-
-
-def _gf2_transform(x: int, n: int, lanes: int = 1) -> int:
-    """T x over GF(2) in every lane of a block, one XOR per index bit."""
-    for h, lo in _sc_masks(n, lanes):
-        x ^= (x >> h) & lo
-    return x
-
-
-def _flag_int(cs: ColumnSet, n: int) -> int:
-    """The 1-based columns of ``cs`` as an int, bit j = 0-based column j."""
-    flags = np.zeros(n, np.uint8)
-    flags[np.array(cs.indices, np.intp) - 1] = 1
-    return _bits_int(flags)
-
-
-def _bit_indices(v: int, n: int) -> list[int]:
-    """The set bits of an n-bit int, ascending."""
-    return np.flatnonzero(_int_bits(v, n)).tolist()
-
-
-# node kinds of an SC plan: frozen leaves all, none, all but the last
-# (repetition), only the first (single parity check), or some other set
-_RATE0, _RATE1, _REP, _SPC, _MIXED = range(5)
-
-
-@functools.lru_cache(maxsize=16)
-def _sc_plan(frozen: int, n: int, lanes: int = 1) -> tuple:
-    """The node tree ``_sc_decode`` walks for the frozen mask ``frozen``
-    on blocks of ``lanes`` lanes.
-
-    A node whose m leaves are all frozen, or none, or all but the last,
-    or only the first, is a leaf of the plan: its code is {0}, every
-    word, the repetition code, or the even-weight words (u_0 is the sum
-    of x, u_{m-1} is x_{m-1}), and its erasure decoding needs no children
-    (simplified SC, Alamdar-Yazdi and Kschischang 2011; Sarkis et al.
-    2014).  Every leaf but (_RATE0,) is (kind, folds, lane mask,
-    repunit): the shifts m * lanes / 2, ..., lanes that fold a lane's m
-    coordinates onto its first by halving, (1 << lanes) - 1, and
-    ``_lane_unit(m, lanes)``, which spreads a lanes-bit value over the
-    coordinates in one multiply.  Any other node is (_MIXED,
-    h * lanes, low-half mask, left, right).
-    """
-    ones = (1 << lanes) - 1
-
-    def node(frozen: int, m: int) -> tuple:
-        full = (1 << m) - 1
-        if frozen == full:
-            return (_RATE0,)
-        kind = _RATE1 if not frozen else _REP if frozen == full >> 1 else _SPC if frozen == 1 else _MIXED
-        if kind != _MIXED:
-            folds = tuple(m * lanes >> k for k in range(1, m.bit_length()))
-            return (kind, folds, ones, _lane_unit(m, lanes))
-        h = m >> 1
-        return (_MIXED, h * lanes, (1 << h * lanes) - 1, node(frozen & full >> h, h), node(frozen >> h, h))
-
-    return node(frozen, n)
-
-
-def _sc_decode(v: int, f: int, plan: tuple) -> tuple[int, int]:
-    """Successive-cancellation erasure decoding over GF(2) of every lane
-    of a block in one recursion.
-
-    ``v`` holds each lane's x off the flagged coordinates ``f`` (whatever
-    it holds on them is ignored), and u_i = 0 for i frozen in ``plan``
-    (``_sc_plan`` for the block's lane count).  Split x by the top index
-    bit h into a (bit clear) and b (bit set): u's half with bit h clear
-    is the transform of a + b, erased where a or b is, and u's other half
-    is the transform of b.  Once a + b is decoded, b is known where b is,
-    or where a is (any two of a, b and a + b give the third), so it stays
-    erased where both are, and needs no decoding when that is nowhere.
-    A child's word holds junk from that XOR on its erased bits, so the
-    repetition and parity leaves read only v & ~f.  A leaf folds each
-    lane's coordinates onto one lanes-bit field by halving: OR finds the
-    erased lanes and the repetition value, AND the lanes erased
-    everywhere, XOR the parity, and a count to two the lanes with two
-    erasures; one multiply by the repunit spreads a value back over the
-    coordinates.
-
-    Returns (x, failed lanes): bit t of the mask is set when some flagged
-    leaf u_i of lane t is not frozen, which depends on the lane's flags
-    alone, and that lane's word is junk.  Fully known and fully frozen
-    nodes never read the data, so on a word that is not a codeword the
-    result is not a solution: check it.
-    """
-    if not f:
-        return v, 0
-    kind = plan[0]
-    if kind == _MIXED:
-        _, s, lo, left, right = plan
-        va, vb, fa, fb = v & lo, v >> s, f & lo, f >> s
-        w, fab = va ^ vb, fa & fb
-        c1, bad = _sc_decode(w, fa | fb, left)
-        c2 = vb ^ ((w ^ c1) & (fb ^ fab))
-        if fab:
-            c2, bad2 = _sc_decode(c2, fab, right)
-            bad |= bad2
-        return (c1 ^ c2) | (c2 << s), bad
-    if kind == _RATE0:
-        return 0, 0
-    _, folds, ones, rep = plan
-    if kind == _RATE1:
-        for s in folds:
-            f |= f >> s
-        return v, f & ones
-    x = v & ~f
-    if kind == _REP:
-        for s in folds:
-            x |= x >> s
-            f &= f >> s
-        return (x & ones) * rep, f & ones
-    one, two, par = f, 0, x
-    for s in folds:
-        two |= (two >> s) | (one & (one >> s))
-        one |= one >> s
-        par ^= par >> s
-    return x | (f & (par & ones) * rep), two & ones
-
-
-def _bp_known(f: int, frozen: int, n: int, lanes: int = 1) -> int:
-    """The coordinates of x that peeling on the butterfly graph determines,
-    in every lane of the block ``f`` at once.
-
-    The graph has log2(n) + 1 stages of n nodes: stage 0 is x, known off
-    the flagged set ``f``, and the last is u = T x, known (zero) on
-    ``frozen`` (an n-bit mask, the same in every lane).  The layer between
-    stages k and k + 1 is the butterfly of entry k of ``_sc_masks`` (the
-    top bit next to x): a node j with that bit clear is the sum of j and
-    j + h one stage back, and j + h passes through.  Over any field, any
-    two of the three give the third.  Sweeps run the layers forward and
-    back in turn (``_peel``) until nothing changes or all of x is known.
-    Peeling's fixpoint does not depend on the schedule or on where it
-    starts below the fixpoint, so it starts from what the frozen rows
-    determine alone (``_frozen_known``), and each lane gets exactly its
-    own known mask, however many sweeps the other lanes take (every step
-    is lane-wise).  Returns stage 0's known mask; every value peeling
-    derives is zero on a kernel vector that is zero off ``f``.
-    """
-    known = list(_frozen_known(frozen, n, lanes))
-    known[0] |= (1 << n * lanes) - 1 & ~f
-    return _peel(known, n, lanes)[0]
-
-
-@functools.lru_cache(maxsize=16)
-def _frozen_known(frozen: int, n: int, lanes: int) -> tuple[int, ...]:
-    """Each stage's known mask when all of x is erased: what the frozen
-    rows determine alone, in every lane.  Every fixpoint of ``_bp_known``
-    holds it, and starting there saves the sweeps that carry it down."""
-    known = [0] * n.bit_length()
-    known[-1] = _lane_copies(frozen, n, lanes)
-    return tuple(_peel(known, n, lanes))
-
-
-def _peel(known: list[int], n: int, lanes: int) -> list[int]:
-    """Peeling's sweeps on the stage masks ``known``, in place."""
-    full = (1 << n * lanes) - 1
-    layers = list(enumerate(_sc_masks(n, lanes)))
-    changed = True
-    while changed and known[0] != full:
-        changed = False
-        for k, (h, lo) in layers:
-            old, new = known[k], known[k + 1]
-            olo, nlo, hi = old & lo, new & lo, ((old | new) >> h) & lo
-            nlo |= olo & hi
-            olo |= nlo & hi
-            hi = (hi | (nlo & olo)) << h
-            if olo | hi != old or nlo | hi != new:
-                known[k], known[k + 1] = olo | hi, nlo | hi
-                changed = True
-        layers.reverse()
-    return known
-
-
-# ---------------------------------------------------------------------------
 # rank / kernel / solve
 
 
@@ -1100,7 +782,7 @@ def columns_independent(m: Matrix, cols) -> bool:
     """Whether the selected columns are linearly independent
     (``_flags_independent`` on their flag int, one lane)."""
     cs = _as_column_set(cols, m.ncols)
-    return _flags_independent(m, _flag_int(cs, m.ncols), 1)[0]
+    return _flags_independent(m, _flag_int(cs.indices, m.ncols), 1)[0]
 
 
 def _flags_independent(m: Matrix, f: int, lanes: int) -> list[bool]:
@@ -1230,7 +912,7 @@ def _erasure_decode(m: Matrix, y, f: int, lanes: int) -> tuple[list[str], object
     if frozen is None:
         c, bad = 0, (1 << lanes) - 1
     else:
-        c, bad = _sc_decode(y, f, m._node_plan(lanes))
+        c, bad = _sc_decode(y, f, _sc_plan(frozen, n, lanes))
         wrong = (c ^ y) & ~f | _gf2_transform(c, n, lanes) & _lane_copies(frozen, n, lanes)
         bad |= _lanes_any(wrong, n, lanes)
     statuses = ["decoded"] * lanes
@@ -1473,20 +1155,25 @@ def _write_text(target, text: str) -> None:
     A path gets a sibling temporary file, created as ``open`` would
     create it (mode 0o666 less the umask) and renamed over the path, so
     a reader sees the old file or the new one, never a part; the
-    temporary file is removed when anything fails.
+    temporary file is removed when anything fails, and an OSError names
+    the path, not the temporary file.
     """
     if hasattr(target, "write"):
         target.write(text)
         return
     path = os.path.abspath(target)
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fd = None
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if fd is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(target)) from exc
         raise
 
 

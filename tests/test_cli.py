@@ -116,6 +116,20 @@ def test_construct_bad_selection(tmp_path):
     assert res.returncode == 2
 
 
+def test_failed_write_names_the_target(tmp_path):
+    # the error names the path asked for, not the sibling temporary file
+    # the write goes through, and nothing is left behind: in a missing
+    # directory the temporary file cannot be made, and over a directory
+    # it is made and then cannot be renamed
+    (tmp_path / "taken").mkdir()
+    for target in (tmp_path / "missing" / "x.txt", tmp_path / "taken"):
+        res = run_cli("construct", "--n", "8", "--s", "1/2", "--select", "top:4", "--out", str(target))
+        assert res.returncode == 2
+        assert str(target) in res.stderr and ".tmp-" not in res.stderr, res.stderr
+        assert [q.name for q in tmp_path.iterdir()] == ["taken"]
+        assert not any((tmp_path / "taken").iterdir())
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_mec_report(pcm16, tmp_path):

@@ -37,7 +37,7 @@ from highgirth import (
     vandermonde,
     weight_enumerator,
 )
-from highgirth import codec, fields
+from highgirth import _butterfly, codec, fields
 from highgirth.channels import ChannelOutput, bsc_transmit
 from highgirth.codec import render_report
 from highgirth.fields import EnumerationBudget, negate_vector, vector, vectors_equal
@@ -245,15 +245,15 @@ def test_mec_decode_stays_apart_from_the_oracle_certificate(monkeypatch, field):
     assert out.flagged
     with monkeypatch.context() as mp:
         mp.setattr(fields, "_bp_known", refuse("_bp_known"))
-        mp.setattr(fields, "_sc_decode", counted("_sc_decode", fields._sc_decode))
+        mp.setattr(fields, "_sc_decode", counted("_sc_decode", _butterfly._sc_decode))
         res = mec_decode(code, out)
     assert res.status == "decoded" and vectors_equal(res.codeword, cw)
-    # one entry per node SC visits over GF(2); no SC over other fields
+    # one entry per SC pass over GF(2); no SC over other fields
     assert set(used) == ({"_sc_decode"} if field == GF2 else set())
     used.clear()
     with monkeypatch.context() as mp:
         mp.setattr(fields, "_sc_decode", refuse("_sc_decode"))
-        mp.setattr(fields, "_bp_known", counted("_bp_known", fields._bp_known))
+        mp.setattr(fields, "_bp_known", counted("_bp_known", _butterfly._bp_known))
         assert columns_independent(code.pcm, out.flagged)
     assert used == ["_bp_known"]
 
@@ -649,8 +649,8 @@ def test_mec_error_rate_keeps_the_decoder_apart_from_the_oracle(monkeypatch, fie
     with monkeypatch.context() as mp:
         mp.setattr(codec, "_erasure_decode", under("decoder", fields._erasure_decode))
         mp.setattr(codec, "_flags_independent", under("oracle", fields._flags_independent))
-        mp.setattr(fields, "_sc_decode", noted("_sc_decode", fields._sc_decode))
-        mp.setattr(fields, "_bp_known", noted("_bp_known", fields._bp_known))
+        mp.setattr(fields, "_sc_decode", noted("_sc_decode", _butterfly._sc_decode))
+        mp.setattr(fields, "_bp_known", noted("_bp_known", _butterfly._bp_known))
         assert mec_error_rate(code, F(1, 5), 40, 3) == want
     assert want["failures"] < 40
     assert {name for name, _ in seen} == ({"_sc_decode", "_bp_known"} if field == GF2 else {"_bp_known"})

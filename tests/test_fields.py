@@ -30,14 +30,14 @@ from highgirth import (
     vandermonde,
     write_matrix,
 )
+from highgirth import _butterfly
 from highgirth import _gf2core as core
 from highgirth import fields
+from highgirth._butterfly import _bp_known, _gf2_transform, _polar_block, _sc_decode, _sc_plan
+from highgirth._gf2core import _bits_int, _int_bits
 from highgirth.fields import (
     BitBasis,
     VectorBasis,
-    _bp_known,
-    _sc_decode,
-    _sc_plan,
     independence_tracker,
     vector,
     vectors_equal,
@@ -816,7 +816,7 @@ def test_erasure_decode_takes_each_fields_own_word_and_leaves_it_alone(field):
             c = fields.vector(field, [x + a * v for x, v in zip(c, r)])
         junk = [v + 1 if f >> j & 1 else v for j, v in enumerate(c)]
         if field == GF2:
-            want, y = fields._bits_int(c), fields._bits_int(fields.vector(field, junk))
+            want, y = _bits_int(c), _bits_int(fields.vector(field, junk))
         else:
             want, y = c, fields.vector(field, junk)
         before = y if field == GF2 else (y.copy() if isinstance(y, np.ndarray) else list(y))
@@ -842,8 +842,7 @@ def test_sc_node_plan_matches_subset_solve_exhaustive_n8():
         frozen = [i for i in range(n) if frozen_mask >> i & 1]
         pcm = fields._transform_rows(GF2, n, frozen)
         assert pcm._frozen_rows() == frozen_mask
-        plan = pcm._node_plan()
-        assert plan == fields._sc_plan(frozen_mask, n)
+        plan = _sc_plan(frozen_mask, n)
         kinds.add(plan[0])
         gen_ints = fields._generator(pcm)[1]
         cols = pcm._column_ints()
@@ -858,19 +857,19 @@ def test_sc_node_plan_matches_subset_solve_exhaustive_n8():
             for j in range(n):
                 if y >> j & 1:
                     syn ^= cols[j]
-            rk, ok, x = fields._solve_columns(pcm, idx, fields._int_bits(syn, pcm.nrows))
+            rk, ok, x = fields._solve_columns(pcm, idx, _int_bits(syn, pcm.nrows))
             assert ok
             want = None
             if rk == len(idx):
                 want = y | sum(1 << j for i, j in enumerate(idx) if x[i])
                 assert want == c
             for received in (y, y | (rng.randrange(1 << n) & f)):
-                word, failed = fields._sc_decode(received, f, plan)
+                word, failed = _sc_decode(received, f, plan)
                 got = None if failed else word
                 assert got == (want if certified[f] else None), (frozen_mask, f, received)
             status = "decoded" if want is not None else "ambiguous"
             assert fields._erasure_decode(pcm, y, f, 1) == ([status], want or 0), (frozen_mask, f)
-    assert kinds == {fields._RATE0, fields._RATE1, fields._REP, fields._SPC, fields._MIXED}
+    assert kinds == {_butterfly._RATE0, _butterfly._RATE1, _butterfly._REP, _butterfly._SPC, _butterfly._MIXED}
 
 
 def test_laned_sc_equals_one_lane_sc_and_subset_solve_exhaustive():
@@ -895,21 +894,21 @@ def test_laned_sc_equals_one_lane_sc_and_subset_solve_exhaustive():
                 for j in range(n):
                     if (c & ~f) >> j & 1:
                         syn ^= cols[j]
-                rk, ok, x = fields._solve_columns(pcm, idx, fields._int_bits(syn, pcm.nrows))
+                rk, ok, x = fields._solve_columns(pcm, idx, _int_bits(syn, pcm.nrows))
                 assert ok
                 want = c if rk == len(idx) else None
                 if want is not None:
                     assert c & ~f | sum(1 << j for i, j in enumerate(idx) if x[i]) == c
                 received = c & ~f | rng.getrandbits(n) & f
                 status = "decoded" if want is not None else "ambiguous"
-                cases.append((received, f, status, want or 0, *_sc_decode(received, f, pcm._node_plan(1))))
+                cases.append((received, f, status, want or 0, *_sc_decode(received, f, _sc_plan(frozen_mask, n, 1))))
             rng.shuffle(cases)
             for lanes in (1, 2, 3, 7):
                 for start in range(0, len(cases), lanes):
                     block = cases[start : start + lanes]
                     size = len(block)
                     y, f = (interleaved([case[i] for case in block], n) for i in (0, 1))
-                    word, failed = _sc_decode(y, f, pcm._node_plan(size))
+                    word, failed = _sc_decode(y, f, _sc_plan(frozen_mask, n, size))
                     for t, (_, ft, _, _, w1, failed1) in enumerate(block):
                         assert failed >> t & 1 == failed1, (n, frozen_mask, ft, lanes)
                         assert failed1 or lane(word, t, size, n) == w1, (n, frozen_mask, ft, lanes)
@@ -926,17 +925,17 @@ def test_laned_sc_blocks_at_n1024():
     cm = check_matrix(1024, Fraction(2, 5), SelectionSpec.top(614))
     pcm, n = cm.matrix, 1024
     rng = np.random.default_rng(1024)
-    info = pcm._message_rows()
-    one = pcm._node_plan(1)
+    frozen = pcm._frozen_rows()
+    one = _sc_plan(frozen, n, 1)
     seen = set()
     for lanes in (1, 4, 64):
-        u = np.zeros((lanes, n), np.uint8)
-        u[:, info] = rng.integers(0, 2, (lanes, len(info)))
-        sent = [fields._gf2_transform(fields._bits_int(row), n) for row in u]
-        flags = [fields._bits_int(rng.random(n) < rng.choice([0.3, 0.46, 0.6])) for _ in range(lanes)]
-        junk = [fields._bits_int(rng.integers(0, 2, n)) & f for f in flags]
+        msgs = rng.integers(0, 2, (lanes, n - pcm.nrows))
+        sent = [_polar_block(frozen, n, msg[:, None]) for msg in msgs]
+        assert _polar_block(frozen, n, msgs.T) == interleaved(sent, n)
+        flags = [_bits_int(rng.random(n) < rng.choice([0.3, 0.46, 0.6])) for _ in range(lanes)]
+        junk = [_bits_int(rng.integers(0, 2, n)) & f for f in flags]
         y, f = interleaved([c ^ j for c, j in zip(sent, junk)], n), interleaved(flags, n)
-        word, failed = _sc_decode(y & ~f, f, pcm._node_plan(lanes))
+        word, failed = _sc_decode(y & ~f, f, _sc_plan(frozen, n, lanes))
         statuses, words = fields._erasure_decode(pcm, y, f, lanes)
         for t in range(lanes):
             w1, failed1 = _sc_decode(sent[t] & ~flags[t], flags[t], one)
@@ -986,6 +985,19 @@ def lane(block, t, lanes, n):
     return int(format(block, f"0{n * lanes}b")[::-1][t::lanes][:n][::-1], 2)
 
 
+def test_array_and_int_transform_bodies_agree():
+    # the transform has one body per representation: at q = 2 the array
+    # body on each lane equals that lane of the int body on the block
+    rng = np.random.default_rng(1618)
+    for n in (1 << e for e in range(11)):
+        for lanes in (1, 3, 64):
+            bits = rng.integers(0, 2, (lanes, n), dtype=np.uint8)
+            x = _gf2_transform(interleaved([_bits_int(b) for b in bits], n), n, lanes)
+            for t, b in enumerate(bits):
+                want = _butterfly._array_transform(b, 2)
+                assert np.array_equal(_int_bits(lane(x, t, lanes, n), n), want), (n, lanes, t)
+
+
 def test_laned_peeling_and_transform_equal_the_per_lane_ones():
     # coordinate j of lane t is bit j * lanes + t; every butterfly step
     # is lane-wise, and peeling's fixpoint does not depend on how many
@@ -1007,15 +1019,15 @@ def test_laned_peeling_and_transform_equal_the_per_lane_ones():
                 block = sets[start : start + lanes]
                 f = interleaved(block, n)
                 known = _bp_known(f, frozen, n, len(block))
-                x = fields._gf2_transform(f, n, len(block))
+                x = _gf2_transform(f, n, len(block))
                 for t, v in enumerate(block):
                     assert lane(known, t, len(block), n) == _bp_known(v, frozen, n), (n, lanes, t)
-                    assert lane(x, t, len(block), n) == fields._gf2_transform(v, n), (n, lanes, t)
+                    assert lane(x, t, len(block), n) == _gf2_transform(v, n), (n, lanes, t)
                 assert not known >> len(block) * n and not x >> len(block) * n
         for v in sets:
             stages = [full & ~v] + [0] * (n.bit_length() - 1)
             stages[-1] |= frozen
-            assert fields._peel(stages, n, 1)[0] == _bp_known(v, frozen, n)
+            assert _butterfly._peel(stages, n, 1)[0] == _bp_known(v, frozen, n)
 
 
 def test_bp_residue_verdict_gf2_n16():
