@@ -17,9 +17,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .codec import (
+    DEFAULT_ENUM_BUDGET,
     bsc_error_rate,
     channel_bounds,
     code_from_pcm,
@@ -37,6 +37,7 @@ from .construction import (
     write_scan_csv,
 )
 from .fields import (
+    DEFAULT_GIRTH_BUDGET,
     EnumerationBudget,
     FieldSpec,
     _write_text,
@@ -149,16 +150,10 @@ def _cmd_simulate_bsc(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str) -> list[Fraction]:
-    vals = [parse_probability(tok, "grid rate") for tok in text.split(",") if tok.strip()]
-    if not vals:
-        raise ValueError("empty grid")
-    return vals
-
-
 def _cmd_girth_scan(args) -> int:
     m, _ = _load_check(args.matrix)
-    res = girth_scan(m, _parse_grid(args.grid), args.trials, args.seed, args.threads)
+    grid = [tok for tok in args.grid.split(",") if tok.strip()]
+    res = girth_scan(m, grid, args.trials, args.seed, args.threads)
     write_scan_csv(res, args.out or sys.stdout)
     return EXIT_OK
 
@@ -341,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True, help="crossover rate")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=1 << 20, help="codeword enumeration cap")
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="codeword enumeration cap")
     p.add_argument("--out", default=None)
     _add_threads(p)
     p.set_defaults(fn=_cmd_simulate_bsc)
@@ -368,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = ansub.add_parser("spark", help="certify unique k-sparse recovery")
     p.add_argument("--matrix", required=True)
     p.add_argument("--k", type=int, required=True, help="target sparsity")
-    p.add_argument("--budget", type=int, default=1 << 22, help="subset test cap")
+    p.add_argument("--budget", type=int, default=DEFAULT_GIRTH_BUDGET, help="subset test cap")
     p.set_defaults(fn=_cmd_spark)
 
     p = ansub.add_parser("bound", help="weight enumerator and error bounds")
     p.add_argument("--pcm", required=True, help="check matrix path")
     p.add_argument("--p", required=True, help="crossover rate")
-    p.add_argument("--budget", type=int, default=1 << 20)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_bound)
 
@@ -382,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--y", required=True, help="comma-separated measurement entries")
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--budget", type=int, default=1 << 22, help="support test cap")
+    p.add_argument("--budget", type=int, default=DEFAULT_GIRTH_BUDGET, help="support test cap")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_l0)
 

@@ -55,7 +55,7 @@ from .fields import (
     vectors_equal,
     zero_vector,
 )
-from .montecarlo import RNG_ID, _below, _raw_words, _TrialStream, threshold_u64, wilson_interval
+from .montecarlo import RNG_ID, SubStream, _below, _check_run, _raw_words, threshold_u64, wilson_interval
 from .montecarlo import run_trials  # noqa: F401 - perfbench/layers.py wraps it here
 
 __all__ = [
@@ -230,16 +230,13 @@ def mec_error_rate(
     (k + n, L) words (n words over the rationals), and the block's
     message bits and erasure flags are read off the columns in numpy;
     over GF(p) the message goes through ``symbols_mod``, which rejects.
-    One generator is moved from trial to trial
-    (``montecarlo._TrialStream``).  ``threads`` must be at least 1 and
-    does not change the bytes of the report.
+    One ``SubStream`` is moved from trial to trial (``next_trial``).
+    ``threads`` must be at least 1 and does not change the bytes of the
+    report.
     """
     pf = parse_probability(p, "p")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if threads < 1:
-        raise ValueError("need at least one thread")
-    stream = _TrialStream(seed, 0)
+    _check_run(trials, threads)
+    stream = SubStream(seed, 0)
 
     pcm, n, k, q = code.pcm, code.n, code.k, code.field.order
     gf2 = code.field.kind == GF2
@@ -325,14 +322,20 @@ def _gray_codewords(code: LinearCode):
         yield c
 
 
-def weight_enumerator(code: LinearCode, budget: int = DEFAULT_ENUM_BUDGET) -> WeightEnumerator:
-    """Exact weight counts by enumerating all codewords (gf2 only)."""
+def _enumerable(code: LinearCode, budget: int, what: str) -> None:
+    """Refuse to enumerate a code that is not over GF(2) or has more than
+    ``budget`` codewords."""
     if code.field.kind != GF2:
-        raise ValueError("weight enumeration is gf2-only")
+        raise ValueError(f"{what} is gf2-only")
     if 1 << code.k > budget:
         raise EnumerationBudget(
             f"2**{code.k} codewords exceed the enumeration budget {budget}"
         )
+
+
+def weight_enumerator(code: LinearCode, budget: int = DEFAULT_ENUM_BUDGET) -> WeightEnumerator:
+    """Exact weight counts by enumerating all codewords (gf2 only)."""
+    _enumerable(code, budget, "weight enumeration")
     counts = [0] * (code.n + 1)
     for c in _gray_codewords(code):
         counts[c.bit_count()] += 1
@@ -435,12 +438,7 @@ def ml_decode_bsc(code: LinearCode, received, budget: int = DEFAULT_ENUM_BUDGET)
     a fixed rule so runs are reproducible; ``unique`` reports whether
     the minimum was attained once.
     """
-    if code.field.kind != GF2:
-        raise ValueError("ml decoding is gf2-only")
-    if 1 << code.k > budget:
-        raise EnumerationBudget(
-            f"2**{code.k} codewords exceed the enumeration budget {budget}"
-        )
+    _enumerable(code, budget, "ml decoding")
     y = _bits_int(vector(code.field, received))
     best_c = 0
     best_d = code.n + 1
@@ -487,16 +485,8 @@ def bsc_error_rate(
     the bytes of the report.
     """
     pf = parse_probability(p, "p")
-    if code.field.kind != GF2:
-        raise ValueError("crossing-channel simulation is gf2-only")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if 1 << code.k > budget:
-        raise EnumerationBudget(
-            f"2**{code.k} codewords exceed the enumeration budget {budget}"
-        )
-    if threads < 1:
-        raise ValueError("need at least one thread")
+    _enumerable(code, budget, "crossing-channel simulation")
+    _check_run(trials, threads)
     n, k = code.n, code.k
     gens = _rows_packed(code.gen_ints, n)
     nw = gens.shape[1]
@@ -510,8 +500,7 @@ def bsc_error_rate(
     errors = 0
     for start in range(0, trials, step):
         w = _raw_words(seed, start, min(start + step, trials), k + n)[:, k:]
-        flips = w < np.uint64(thr) if thr < 1 << 64 else np.ones(w.shape, bool)
-        e = _pack_rows_u8(flips)
+        e = _pack_rows_u8(_below(w, thr))
         we = _weights(e)[:, None]
         # count the codewords c with |c + e| <= |e|, c = 0 among them
         hits = 0

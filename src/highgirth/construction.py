@@ -31,6 +31,7 @@ from ._butterfly import _array_transform
 from ._gf2core import _bits_int
 from ._gf2core import rank_packed  # noqa: F401 - perfbench/layers.py wraps it here
 from .fields import (
+    DEFAULT_GIRTH_BUDGET,
     GF2,
     BitBasis,
     ColumnSet,
@@ -38,6 +39,7 @@ from .fields import (
     FieldSpec,
     Matrix,
     VectorBasis,
+    _as_column_set,
     _read_text,
     _transform_rows,
     _write_text,
@@ -52,11 +54,13 @@ from .montecarlo import (
     RNG_ID,
     SubStream,
     TrialReport,
+    _below,
     run_trials,
     threshold_u64,
 )
 from .polarize import (
     SelectionSpec,
+    _levels,
     select_rows,
     select_rows_fast,
 )
@@ -89,14 +93,9 @@ EXACT_SELECTION_CAP = 1 << 8
 RANK_VERIFY_CAP = 1 << 10
 
 
-def _require_pow2(n: int) -> None:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"n must be a power of two, got {n}")
-
-
 def sierpinski_row(n: int, i: int) -> np.ndarray:
     """0-based row i as a uint8 vector, without building the matrix."""
-    _require_pow2(n)
+    _levels(n)
     if not 0 <= i < n:
         raise IndexError("row index out of range")
     j = np.arange(n)
@@ -109,7 +108,7 @@ def sierpinski(n: int, field: FieldSpec = FieldSpec.gf2()) -> Matrix:
     Capped to keep memory sane; the caps differ because a packed gf2 row
     costs n/8 bytes while gfp and rational entries cost full words.
     """
-    _require_pow2(n)
+    _levels(n)
     cap = DENSE_TRANSFORM_CAP if field.kind == GF2 else DENSE_FIELD_CAP
     if n > cap:
         raise ValueError(
@@ -124,7 +123,7 @@ def sierpinski_transform(field: FieldSpec, x, inverse: bool = False):
     power of two: an array over GF(2) and GF(p), a list over the
     rationals.  Over GF(2) the map is an involution."""
     v = vector(field, x)
-    _require_pow2(len(v))
+    _levels(len(v))
     return _array_transform(v, field.order, inverse)
 
 
@@ -229,7 +228,7 @@ def exhaustive_rank_profile(n: int, s, field: FieldSpec = FieldSpec.gf2()) -> tu
     Matches rank_profile exactly over every field; exponential, so n is
     capped hard at 12.
     """
-    _require_pow2(n)
+    _levels(n)
     if n > 12:
         raise EnumerationBudget(f"2**{n} subsets exceed the enumeration budget")
     sf = parse_probability(s, "s")
@@ -244,7 +243,7 @@ def expected_rank_oracle(n: int, i: int, s, field: FieldSpec = FieldSpec.gf2()) 
     consecutive differences in i are the independent check of the
     profile values.
     """
-    _require_pow2(n)
+    _levels(n)
     if n > 12:
         raise EnumerationBudget(f"2**{n} subsets exceed the enumeration budget")
     if not 0 <= i <= n:
@@ -258,7 +257,7 @@ def expected_rank_oracle(n: int, i: int, s, field: FieldSpec = FieldSpec.gf2()) 
     return sum(inc[:i], Fraction(0))
 
 
-def independence_probability(m: Matrix, s, budget: int = 1 << 22) -> Fraction:
+def independence_probability(m: Matrix, s, budget: int = DEFAULT_GIRTH_BUDGET) -> Fraction:
     """Exact P{Bernoulli(s)-sampled columns of m are linearly independent}.
 
     Depth-first over columns; a dependent branch is pruned because every
@@ -303,18 +302,13 @@ def full_rank_probability(
     identical for any thread count.
     """
     sf = parse_probability(s, "s")
-    if trials < 1:
-        raise ValueError("need at least one trial")
     m = cm.matrix
     nchecks = cm.nchecks
-    t_full = threshold_u64(sf)
-    sample_all = t_full >= 1 << 64
-    thr = np.uint64(min(t_full, (1 << 64) - 1))
+    thr = threshold_u64(sf)
     make_basis, cols = independence_tracker(m)
 
     def one_trial(stream: SubStream) -> bool:
-        u = stream.raw(m.ncols)
-        idx = range(m.ncols) if sample_all else np.nonzero(u < thr)[0].tolist()
+        idx = np.flatnonzero(_below(stream.raw(m.ncols), thr)).tolist()
         if len(idx) < nchecks:
             return False
         basis = make_basis()
@@ -369,8 +363,6 @@ def girth_scan(m: Matrix, grid, trials: int, seed: int, threads: int = 1) -> Gir
         raise ValueError("empty grid")
     if any(b < a for a, b in zip(rates, rates[1:])):
         raise ValueError("grid must be sorted ascending")
-    if trials < 1:
-        raise ValueError("need at least one trial")
     thresholds = np.array([min(threshold_u64(r), (1 << 64) - 1) for r in rates], np.uint64)
     exact_one = [threshold_u64(r) >= 1 << 64 for r in rates]
     nrows, ncols = m.nrows, m.ncols
@@ -448,10 +440,8 @@ def read_check_matrix(path: str) -> CheckMatrix:
         raise ValueError(f"sidecar {path}.json: n must be an int, s a string, H a list")
     if n != m.ncols:
         raise ValueError(f"sidecar n={n} does not match the matrix's {m.ncols} columns")
-    rows = ColumnSet(tuple(h))
-    if rows.indices and rows.indices[-1] > n:
-        raise ValueError(f"sidecar row {rows.indices[-1]} out of range for n={n}")
-    _require_pow2(n)
+    rows = _as_column_set(ColumnSet(tuple(h)), n, "sidecar H")
+    _levels(n)
     if _rows_matrix(n, rows, m.field) != m:
         raise ValueError("sidecar rows H do not rebuild the matrix")
     return CheckMatrix(n, parse_probability(s, "s"), selection, rows, m)

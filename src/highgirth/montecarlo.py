@@ -8,8 +8,8 @@ A simulator whose trials are cheap can draw a whole block of them at
 once: ``_raw_words`` runs the same Philox4x64-10 generator on numpy
 arrays, one lane per (trial, counter block), and returns the words each
 trial's ``SubStream`` would.  A simulator that draws trial by trial,
-``run_trials`` among them, moves one generator along the trials
-(``_TrialStream``) instead of constructing one per trial, with the same
+``run_trials`` among them, moves one ``SubStream`` along the trials
+(``next_trial``) instead of constructing one per trial, with the same
 words.
 """
 from __future__ import annotations
@@ -107,19 +107,35 @@ class SubStream:
     The underlying generator is Philox with key = seed and a 256-bit
     counter whose high 128 bits hold the trial index, so distinct trials
     can never overlap no matter how much one trial consumes.
+
+    ``next_trial`` moves the stream on to trial + 1, trial + 2, ... in
+    turn.  Constructing a Philox generator costs about as much as drawing
+    an erasure trial's words, so the one generator is moved instead.
+    After w words of trial t the counter is (t << 128) + ceil(w / 4),
+    with the rest of the last block buffered; ``next_trial`` advances the
+    counter to (t + 1) << 128 and drops the buffer, which is where a new
+    ``SubStream(seed, t + 1)`` starts.  So every trial gets exactly its
+    own substream's words, whatever it drew before.
     """
 
-    __slots__ = ("_bg",)
+    __slots__ = ("_bg", "_used")
 
     def __init__(self, seed: int, trial: int):
         _check_seed(seed)
         if trial < 0:
             raise ValueError("trial index must be nonnegative")
         self._bg = np.random.Philox(key=seed, counter=trial << 128)
+        self._used = 0
 
     def raw(self, n: int) -> np.ndarray:
         """n uniform uint64 words; every other draw takes its words here."""
+        self._used += n
         return self._bg.random_raw(n)
+
+    def next_trial(self) -> None:
+        """Move on to the next trial's substream."""
+        self._bg.advance((1 << 128) - (-(-self._used // 4)))
+        self._used = 0
 
     def bernoulli_mask(self, n: int, p: Fraction) -> np.ndarray:
         """uint8 vector of n independent Bernoulli(p) draws."""
@@ -155,35 +171,6 @@ class SubStream:
     def integer_below(self, q: int) -> int:
         """One uniform draw from {0, ..., q-1}."""
         return int(self.symbols_mod(1, q)[0])
-
-
-class _TrialStream(SubStream):
-    """``SubStream(seed, t)`` for t = trial, trial + 1, ... in turn, on one
-    generator.
-
-    Constructing a Philox generator costs about as much as drawing an
-    erasure trial's words, so this stream moves its one generator instead.
-    After w words of trial t the counter is (t << 128) + ceil(w / 4), with
-    the rest of the last block buffered; ``next_trial`` advances the
-    counter to (t + 1) << 128 and drops the buffer, which is where a new
-    ``SubStream(seed, t + 1)`` starts.  So every trial gets exactly its
-    own substream's words, whatever it drew before.
-    """
-
-    __slots__ = ("_used",)
-
-    def __init__(self, seed: int, trial: int):
-        super().__init__(seed, trial)
-        self._used = 0
-
-    def raw(self, n: int) -> np.ndarray:
-        self._used += n
-        return self._bg.random_raw(n)
-
-    def next_trial(self) -> None:
-        """Move on to the next trial's substream."""
-        self._bg.advance((1 << 128) - (-(-self._used // 4)))
-        self._used = 0
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -223,23 +210,28 @@ class TrialReport:
         return wilson_interval(self.successes, self.trials, z)
 
 
+def _check_run(trials: int, threads: int) -> None:
+    """Every simulator's run check: at least one trial and one thread."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if threads < 1:
+        raise ValueError("need at least one thread")
+
+
 def run_trials(trials: int, fn, seed: int, threads: int = 1) -> list:
     """Evaluate fn(stream) for t in range(trials), in order, where stream
     draws exactly the words of ``SubStream(seed, t)``.
 
-    One generator is moved from trial to trial (``_TrialStream``), so the
-    stream passed to ``fn`` is valid only during that call: it must not
-    be kept or drawn from afterwards.  Every trial runs on the calling
-    thread.  ``threads`` must be at least 1 and changes neither the
-    output nor the speed: the trial callbacks hold the GIL, so a thread
-    pool only added overhead.  It is kept so callers and the
-    ``--threads`` option keep working.
+    One ``SubStream`` is moved from trial to trial (``next_trial``), so
+    the stream passed to ``fn`` is valid only during that call: it must
+    not be kept or drawn from afterwards.  Every trial runs on the
+    calling thread.  ``trials`` and ``threads`` must each be at least 1;
+    ``threads`` changes neither the output nor the speed: the trial
+    callbacks hold the GIL, so a thread pool only added overhead.  It is
+    kept so callers and the ``--threads`` option keep working.
     """
-    if trials < 0:
-        raise ValueError("trial count must be nonnegative")
-    if threads < 1:
-        raise ValueError("need at least one thread")
-    stream, out = _TrialStream(seed, 0), []
+    _check_run(trials, threads)
+    stream, out = SubStream(seed, 0), []
     for t in range(trials):
         if t:
             stream.next_trial()

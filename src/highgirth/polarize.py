@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import ColumnSet, _read_text, _write_text, as_fraction, parse_probability
+from .fields import ColumnSet, _as_column_set, _read_text, _write_text, parse_probability
 
 __all__ = [
     "ell",
@@ -54,20 +54,18 @@ __all__ = [
 ]
 
 
-def _check_unit(x, name: str):
-    if not 0 <= x <= 1:
-        raise ValueError(f"{name} must lie in [0, 1], got {x}")
-
-
-def ell(x: Fraction) -> Fraction:
-    """Upper branch 2x - x**2 = 1 - (1-x)**2; increases toward 1."""
-    _check_unit(x, "x")
+def ell(x) -> Fraction:
+    """Upper branch 2x - x**2 = 1 - (1-x)**2 of an exact x in [0, 1]
+    (``parse_probability``: a Fraction, int or string, never a float);
+    increases toward 1."""
+    x = parse_probability(x, "x")
     return 2 * x - x * x
 
 
-def rr(x: Fraction) -> Fraction:
-    """Lower branch x**2; decreases toward 0."""
-    _check_unit(x, "x")
+def rr(x) -> Fraction:
+    """Lower branch x**2 of an exact x in [0, 1], read as ``ell`` reads
+    it; decreases toward 0."""
+    x = parse_probability(x, "x")
     return x * x
 
 
@@ -125,14 +123,10 @@ def rank_profile(n: int, s) -> tuple[Fraction, ...]:
 
 
 def rank_profile_float(n: int, s) -> np.ndarray:
-    """Float64 profile; absolute leaf error below 2**(log2(n) - 52)."""
+    """Float64 profile of an exact rate s (a float is refused, as
+    everywhere); absolute leaf error below 2**(log2(n) - 52)."""
     levels = _levels(n)
-    if isinstance(s, float):
-        s0 = s
-        _check_unit(s0, "s")
-    else:
-        s0 = float(parse_probability(s, "s"))
-    v = np.array([s0])
+    v = np.array([float(parse_probability(s, "s"))])
     for _ in range(levels):
         nxt = np.empty(2 * v.shape[0])
         nxt[0::2] = v * (2.0 - v)
@@ -224,6 +218,10 @@ class SelectionSpec:
     mode "auto": threshold rule with the default threshold for n.
     mode "threshold": keep rows with value strictly above the threshold.
     mode "top": keep the count largest rows (ties to the smaller index).
+
+    Every rule on a spec is checked here, however it is built: a
+    threshold is an exact rate in [0, 1], and a count is an int (not a
+    bool) of at least 1.  Only "count <= n" waits for ``resolve(n)``.
     """
 
     mode: str
@@ -242,8 +240,8 @@ class SelectionSpec:
         elif self.mode == "top":
             if self.threshold is not None:
                 raise ValueError("top mode takes no threshold")
-            if not isinstance(self.count, int) or self.count < 0:
-                raise ValueError("top mode needs a count >= 0")
+            if type(self.count) is not int or self.count < 1:
+                raise ValueError(f"top mode needs an int count >= 1, got {self.count!r}")
         else:
             raise ValueError(f"unknown selection mode {self.mode!r}")
 
@@ -253,12 +251,10 @@ class SelectionSpec:
 
     @classmethod
     def at_threshold(cls, threshold) -> "SelectionSpec":
-        return cls("threshold", threshold=as_fraction(threshold, "threshold"))
+        return cls("threshold", threshold=threshold)
 
     @classmethod
     def top(cls, count: int) -> "SelectionSpec":
-        if count < 1:
-            raise ValueError("top selection needs a positive count")
         return cls("top", count=count)
 
     @classmethod
@@ -274,7 +270,7 @@ class SelectionSpec:
                 raise ValueError(f"bad selection {text!r}") from exc
             return cls.top(m)
         if text.startswith("thr:"):
-            return cls.at_threshold(as_fraction(text[4:], "threshold"))
+            return cls.at_threshold(text[4:])
         raise ValueError(
             f"bad selection {text!r} (want auto, paper, top:<m>, or thr:<t>)"
         )
@@ -287,9 +283,12 @@ class SelectionSpec:
         return f"thr:{self.threshold}"
 
     def resolve(self, n: int) -> "SelectionSpec":
-        """Replace auto with its concrete threshold for this n."""
+        """Replace auto with its concrete threshold for this n; refuse a
+        top count above n."""
         if self.mode == "auto":
             return SelectionSpec("threshold", threshold=default_threshold(n))
+        if self.mode == "top" and self.count > n:
+            raise ValueError(f"cannot take top {self.count} of {n} rows")
         return self
 
     def to_json(self) -> dict:
@@ -306,9 +305,9 @@ class SelectionSpec:
         if mode == "auto":
             return cls.auto()
         if mode == "threshold":
-            return cls.at_threshold(as_fraction(d["threshold"], "threshold"))
+            return cls.at_threshold(d["threshold"])
         if mode == "top":
-            return cls.top(int(d["count"]))
+            return cls.top(d["count"])
         raise ValueError(f"bad selection record {json.dumps(d)}")
 
     def __str__(self) -> str:
@@ -327,8 +326,6 @@ def select_rows(n: int, s, spec: SelectionSpec) -> ColumnSet:
         t = spec.threshold
         return ColumnSet(tuple(j + 1 for j, a in enumerate(nums) if _above(a, den, t)))
     m = spec.count
-    if m > n:
-        raise ValueError(f"cannot take top {m} of {n} rows")
     order = sorted(range(n), key=lambda j: (-nums[j], j))
     return ColumnSet(tuple(sorted(j + 1 for j in order[:m])))
 
@@ -429,15 +426,11 @@ def select_rows_fast(n: int, s, spec: SelectionSpec) -> ColumnSet:
     """
     spec = spec.resolve(n)
     sf = parse_probability(s, "s")
+    side, lo, hi = _tail_enclosure(n, sf)  # checks n before any shortcut
     if spec.mode == "top":
         m = spec.count
-        if m > n:
-            raise ValueError(f"cannot take top {m} of {n} rows")
-        if m == 0:
-            return ColumnSet.empty()
         if m == n:
             return ColumnSet.full(n)
-    side, lo, hi = _tail_enclosure(n, sf)
     klo, khi = _key_enclosure(side, lo, hi)
     undecided = hi >= -1
     klo[undecided], khi[undecided] = -np.inf, np.inf
@@ -497,8 +490,7 @@ def bhattacharyya_sum(n: int, z0, rows: ColumnSet) -> Fraction:
     and one Fraction is built.
     """
     z = parse_probability(z0, "z0")
-    if rows.indices and rows.indices[-1] > n:
-        raise ValueError("row index out of range")
+    rows = _as_column_set(rows, n, "rows")
     picked = sum(_leaf_numerator(n, i, z)[0] for i in rows)
     return n * z - Fraction(picked, z.denominator**n)
 

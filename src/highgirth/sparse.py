@@ -16,12 +16,14 @@ from math import comb
 import numpy as np
 
 from .fields import (
+    DEFAULT_GIRTH_BUDGET,
     GF2,
     GFP,
     ColumnSet,
     EnumerationBudget,
     FieldSpec,
     Matrix,
+    _as_column_set,
     _solve_columns,
     columns_independent,
     matvec,
@@ -60,8 +62,7 @@ class SparseSignal:
     def __post_init__(self):
         if len(self.values) != len(self.support):
             raise ValueError("one value per support index")
-        if self.support.indices and self.support.indices[-1] > self.n:
-            raise ValueError("support index out of range")
+        object.__setattr__(self, "support", _as_column_set(self.support, self.n, "support"))
         canon = vector(self.field, self.values)
         object.__setattr__(
             self,
@@ -136,8 +137,6 @@ def draw_signal(field: FieldSpec, n: int, model, stream: SubStream) -> SparseSig
 
 
 def measure(a: Matrix, signal: SparseSignal):
-    if a.ncols != signal.n:
-        raise ValueError("matrix width does not match signal length")
     if a.field != signal.field:
         raise ValueError("field mismatch")
     return matvec(a, signal.dense())
@@ -159,7 +158,7 @@ class SparkResult:
     tested: int
 
 
-def spark_certificate(a: Matrix, k: int, budget: int = 1 << 22) -> SparkResult:
+def spark_certificate(a: Matrix, k: int, budget: int = DEFAULT_GIRTH_BUDGET) -> SparkResult:
     if k < 1:
         raise ValueError("sparsity must be positive")
     res = first_dependent_subset(a, 2 * k, budget)
@@ -178,8 +177,6 @@ def support_failure_rate(
     a: Matrix, model, trials: int, seed: int, threads: int = 1
 ) -> TrialReport:
     """Monte Carlo P{columns of a at a random support are dependent}."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
 
     def one_trial(stream: SubStream) -> bool:
         return not columns_independent(a, model.draw(a.ncols, stream))
@@ -214,7 +211,7 @@ def support_report(a: Matrix, model, rep: TrialReport, certificate: SparkResult 
     }
 
 
-def support_failure_expectation(a: Matrix, model, budget: int = 1 << 22) -> Fraction:
+def support_failure_expectation(a: Matrix, model, budget: int = DEFAULT_GIRTH_BUDGET) -> Fraction:
     """Exact P{dependent support} by enumeration; the oracle for the
     Monte Carlo estimate above."""
     n = a.ncols
@@ -254,7 +251,7 @@ class L0Result:
     tested: int
 
 
-def l0_recover(a: Matrix, y, k_max: int, budget: int = 1 << 22) -> L0Result:
+def l0_recover(a: Matrix, y, k_max: int, budget: int = DEFAULT_GIRTH_BUDGET) -> L0Result:
     """Minimum-support solution of a @ x = y by size-ascending search.
 
     At the first size with any consistent support, uniqueness holds

@@ -335,6 +335,9 @@ def test_sidecar_must_rebuild_matrix(pcm16_top8):
         lambda meta: meta.update(s=0.5),
         lambda meta: meta.update(H=[1, 2, 3, 4, 5, 6, 7, 99]),
         lambda meta: meta.update(selection={"mode": "threshold"}),
+        lambda meta: meta.update(selection={"mode": "top", "count": 3.7}),
+        lambda meta: meta.update(selection={"mode": "top", "count": True}),
+        lambda meta: meta.update(selection={"mode": "top", "count": "3"}),
     ],
 )
 def test_sidecar_fields_checked(pcm16_top8, edit):
@@ -359,6 +362,44 @@ def test_bad_matrix_entry(tmp_path, field, entry):
 def test_l0_negative_kmax(pcm16):
     res = run_cli("analyze", "l0", "--matrix", pcm16, "--y=" + ",".join(["0"] * 12), "--kmax", "-1")
     assert_usage_error(res)
+
+
+def test_budget_defaults_are_the_two_constants():
+    # every budget default, in the library and on the command line, is the
+    # constant itself, not a copy of its value
+    import argparse
+    import inspect
+
+    import highgirth
+    from highgirth.codec import DEFAULT_ENUM_BUDGET
+    from highgirth.fields import DEFAULT_GIRTH_BUDGET
+
+    def ours(default):
+        return any(default is c for c in (DEFAULT_GIRTH_BUDGET, DEFAULT_ENUM_BUDGET))
+
+    found = []
+    for name in dir(highgirth):
+        obj = getattr(highgirth, name)
+        if name.startswith("_") or not inspect.isfunction(obj):
+            continue
+        budget = inspect.signature(obj).parameters.get("budget")
+        if budget is not None:
+            found.append(name)
+            assert ours(budget.default), name
+    assert len(found) >= 10, found
+
+    def options(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from options(sub)
+            elif "--budget" in action.option_strings:
+                yield parser.prog, action.default
+
+    budgets = list(options(build_parser()))
+    assert len(budgets) == 4
+    for prog, default in budgets:
+        assert ours(default), prog
 
 
 def test_readme_commands_parse():

@@ -658,6 +658,34 @@ def test_mec_error_rate_keeps_the_decoder_apart_from_the_oracle(monkeypatch, fie
         assert stack == (("decoder",) if name == "_sc_decode" else ("oracle",)), (name, stack)
 
 
+@pytest.mark.parametrize("field", [GF2, FieldSpec.gfp(3)], ids=str)
+def test_mec_error_rate_counts_a_wrong_codeword_as_failure_and_mismatch(monkeypatch, field):
+    # the safety path: a decoder that says "decoded" but returns a word
+    # other than the one sent fails that trial and disagrees with the
+    # oracle.  The patched decoder corrupts coordinate 0 of lane 0 of each
+    # block: one block int over GF(2), a list of words over GF(3)
+    code = code_from_pcm(check_matrix(64, F(1, 2), SelectionSpec.top(26), field).matrix)
+    real = fields._erasure_decode
+
+    def wrong_first_lane(pcm, sent, flags, lanes):
+        statuses, decoded = real(pcm, sent, flags, lanes)
+        assert statuses[0] == "decoded"
+        if field == GF2:
+            return statuses, decoded ^ 1
+        word = decoded[0].copy()
+        word[0] = (word[0] + 1) % 3
+        return statuses, [word, *decoded[1:]]
+
+    clean = mec_error_rate(code, F(0), 5, 3)
+    assert (clean["failures"], clean["mismatches"], clean["dependence_events"]) == (0, 0, 0)
+    monkeypatch.setattr(codec, "_erasure_decode", wrong_first_lane)
+    rep = mec_error_rate(code, F(0), 5, 3)
+    assert (rep["failures"], rep["mismatches"], rep["dependence_events"]) == (1, 1, 0)
+    monkeypatch.setattr(codec, "_LANE_BITS", 2 * 64)  # three blocks: 2, 2 and 1 lanes
+    rep = mec_error_rate(code, F(0), 5, 3)
+    assert (rep["failures"], rep["mismatches"], rep["dependence_events"]) == (3, 3, 0)
+
+
 def test_mec_error_rate_input_checks():
     code = code_from_pcm(Matrix.from_rows(GF2, HAMMING_7_4))
     with pytest.raises(ValueError):

@@ -239,6 +239,31 @@ def test_check_matrix_io_roundtrip(tmp_path):
         assert back.matrix.to_rows() == cm.matrix.to_rows()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"selection": {"mode": "top", "count": 3.7}},
+        {"selection": {"mode": "top", "count": True}},
+        {"selection": {"mode": "top", "count": "3"}},
+        {"H": [1, 2, 9]},
+    ],
+    ids=["count-float", "count-bool", "count-str", "H-out-of-range"],
+)
+def test_read_check_matrix_refuses_a_bad_sidecar(tmp_path, edit):
+    import json
+
+    cm = check_matrix(8, F(1, 2), SelectionSpec.top(3))
+    path = str(tmp_path / "h.txt")
+    write_check_matrix(cm, path)
+    with open(path + ".json") as fh:
+        meta = json.load(fh)
+    meta.update(edit)
+    with open(path + ".json", "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(ValueError):
+        read_check_matrix(path)
+
+
 def test_check_matrix_sidecar_keys(tmp_path):
     import json
 

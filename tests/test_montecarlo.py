@@ -7,8 +7,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from highgirth import RNG_ID, SubStream, TrialReport, run_trials, wilson_interval
-from highgirth.montecarlo import _raw_words, _TrialStream
+from highgirth import (
+    RNG_ID,
+    SelectionSpec,
+    SubStream,
+    TrialReport,
+    UniformSupport,
+    bsc_error_rate,
+    check_matrix,
+    code_from_pcm,
+    full_rank_probability,
+    girth_scan,
+    mec_error_rate,
+    run_trials,
+    support_failure_rate,
+    wilson_interval,
+)
+from highgirth.montecarlo import _raw_words
 
 F = Fraction
 
@@ -135,7 +150,7 @@ def test_trial_stream_moves_through_the_substreams(seed):
         return [stream.raw(4 * i), stream.symbols_mod(i, 8)]
 
     for start in (0, 1 << 40):
-        moved = _TrialStream(seed, start)
+        moved = SubStream(seed, start)
         for i in range(12):
             if i:
                 moved.next_trial()
@@ -143,7 +158,7 @@ def test_trial_stream_moves_through_the_substreams(seed):
             assert [a.tolist() for a in got] == [b.tolist() for b in want], (start, i)
     for bad in (-1, 1 << 64):
         with pytest.raises(ValueError):
-            _TrialStream(bad, 0)
+            SubStream(bad, 0)
 
 
 def test_integer_below():
@@ -178,6 +193,8 @@ def test_run_trials_runs_in_order_on_the_calling_thread():
     for bad in (0, -1):
         with pytest.raises(ValueError):
             run_trials(5, trial, seed=3, threads=bad)
+        with pytest.raises(ValueError):
+            run_trials(bad, trial, seed=3)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -200,6 +217,32 @@ def test_run_trials_moves_one_stream_through_fresh_substreams(seed):
 
     assert run_trials(12, trial, seed) == [draws(SubStream(seed, t), t) for t in range(12)]
     assert len(set(map(id, streams))) == 1
+
+
+def _run_with(name, trials, threads):
+    """One small call of the simulator ``name``."""
+    cm = check_matrix(8, F(1, 2), SelectionSpec.top(3))
+    code = code_from_pcm(cm.matrix)
+    runs = {
+        "mec_error_rate": lambda: mec_error_rate(code, F(1, 4), trials, 1, threads),
+        "bsc_error_rate": lambda: bsc_error_rate(code, F(1, 4), trials, 1, threads),
+        "girth_scan": lambda: girth_scan(cm.matrix, ["1/4", "1/2"], trials, 1, threads),
+        "full_rank_probability": lambda: full_rank_probability(cm, F(1, 2), trials, 1, threads),
+        "support_failure_rate": lambda: support_failure_rate(cm.matrix, UniformSupport(2), trials, 1, threads),
+        "run_trials": lambda: run_trials(trials, lambda stream: stream.raw(1), 1, threads),
+    }
+    return runs[name]()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["mec_error_rate", "bsc_error_rate", "girth_scan", "full_rank_probability", "support_failure_rate", "run_trials"],
+)
+def test_every_run_needs_a_trial_and_a_thread(name):
+    _run_with(name, 1, 1)
+    for trials, threads in ((0, 1), (1, 0), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            _run_with(name, trials, threads)
 
 
 def test_run_trials_passes_distinct_streams():

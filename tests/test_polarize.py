@@ -52,6 +52,23 @@ def test_split_conserves_mass():
             assert rr(x) <= x <= ell(x) <= 1
 
 
+def test_branches_and_float_profile_take_exact_rates_only():
+    assert ell("1/2") == F(3, 4) and rr("1/2") == F(1, 4)
+    assert ell(1) == 1 and rr(0) == 0
+    for bad in (0.5, np.float64(0.5)):
+        with pytest.raises(TypeError):
+            ell(bad)
+        with pytest.raises(TypeError):
+            rr(bad)
+    with pytest.raises(TypeError):
+        rank_profile_float(8, 0.4)
+    for bad in (F(3, 2), -1):
+        with pytest.raises(ValueError):
+            ell(bad)
+        with pytest.raises(ValueError):
+            rr(bad)
+
+
 def test_profile_frozen_values():
     assert rank_profile(2, F(1, 2)) == (F(3, 4), F(1, 4))
     assert rank_profile(4, F(1, 2)) == (F(15, 16), F(9, 16), F(7, 16), F(1, 16))
@@ -336,6 +353,32 @@ def test_selection_spec_parse_roundtrip():
         SelectionSpec.parse("nope")
 
 
+@pytest.mark.parametrize("count", [0, -1, True, 3.7, "3", None])
+def test_selection_spec_refuses_a_count_that_is_not_an_int_of_at_least_one(count):
+    # the spec checks its own count however it is built: directly, from a
+    # sidecar record as it stands, or through the helpers
+    with pytest.raises(ValueError):
+        SelectionSpec("top", count=count)
+    with pytest.raises(ValueError):
+        SelectionSpec.from_json({"mode": "top", "count": count})
+    if not isinstance(count, str) and count is not None:
+        with pytest.raises(ValueError):
+            SelectionSpec.top(count)
+
+
+def test_selection_refuses_a_count_above_n_and_an_n_not_a_power_of_two():
+    assert SelectionSpec.top(16).resolve(16) == SelectionSpec.top(16)
+    with pytest.raises(ValueError):
+        SelectionSpec.top(17).resolve(16)
+    for select in (select_rows, select_rows_fast):
+        with pytest.raises(ValueError):
+            select(16, F(1, 2), SelectionSpec.top(17))
+        assert select(16, F(1, 2), SelectionSpec.top(16)) == ColumnSet.full(16)
+        for n in (3, 384):  # top:n takes every row, but only of a transform
+            with pytest.raises(ValueError):
+                select(n, F(1, 2), SelectionSpec.top(n))
+
+
 def test_selection_resolve_fixes_auto():
     spec = SelectionSpec.auto().resolve(16)
     assert spec.mode == "threshold"
@@ -378,6 +421,8 @@ def test_leaf_sum_frozen():
     assert bhattacharyya_sum(4, F(1, 2), ColumnSet.of([1, 2])) == F(1, 2)
     assert bhattacharyya_sum(4, F(1, 2), ColumnSet.empty()) == 2
     assert bhattacharyya_sum(4, F(1, 2), ColumnSet.full(4)) == 0
+    with pytest.raises(ValueError):
+        bhattacharyya_sum(4, F(1, 2), ColumnSet.of([2, 5]))
 
 
 def test_bhattacharyya_sum_equals_per_leaf_fraction_sum():

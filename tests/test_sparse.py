@@ -95,6 +95,8 @@ def test_sparse_signal_validation():
         SparseSignal(RAT, 4, ColumnSet.of([1, 2]), (F(1),))
     with pytest.raises(ValueError):
         SparseSignal(RAT, 4, ColumnSet.of([5]), (F(1),))
+    with pytest.raises(ValueError):
+        SparseSignal(GF5, 4, ColumnSet.of([2, 7]), (1, 3))
 
 
 # ---------------------------------------------------------------- spark
