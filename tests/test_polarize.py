@@ -361,9 +361,8 @@ def test_selection_spec_refuses_a_count_that_is_not_an_int_of_at_least_one(count
         SelectionSpec("top", count=count)
     with pytest.raises(ValueError):
         SelectionSpec.from_json({"mode": "top", "count": count})
-    if not isinstance(count, str) and count is not None:
-        with pytest.raises(ValueError):
-            SelectionSpec.top(count)
+    with pytest.raises(ValueError):
+        SelectionSpec.top(count)
 
 
 def test_selection_refuses_a_count_above_n_and_an_n_not_a_power_of_two():
