@@ -46,7 +46,7 @@ class ChannelOutput:
 
 def _flagged(mask: np.ndarray) -> ColumnSet:
     """1-based positions of the ones in a 0/1 mask."""
-    return ColumnSet._sorted_ints(tuple((np.flatnonzero(mask) + 1).tolist()))
+    return ColumnSet(tuple((np.flatnonzero(mask) + 1).tolist()))
 
 
 def mec_transmit(field: FieldSpec, codeword, p, stream: SubStream) -> ChannelOutput:

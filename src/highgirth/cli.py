@@ -117,11 +117,16 @@ def _load_check(path: str):
     return read_matrix(path), None
 
 
+def _load_code(path: str):
+    """Returns (code, selected rows or None, selection name or None)."""
+    m, cm = _load_check(path)
+    if cm is None:
+        return code_from_pcm(m), None, None
+    return code_from_pcm(m), cm.rows, cm.selection.name()
+
+
 def _cmd_simulate_mec(args) -> int:
-    m, cm = _load_check(args.pcm)
-    code = code_from_pcm(m)
-    rows = cm.rows if cm is not None else None
-    selection = cm.selection.name() if cm is not None else None
+    code, rows, selection = _load_code(args.pcm)
     bounds = channel_bounds(code, "mec", args.p, rows)
     report = mec_error_rate(
         code, args.p, args.trials, args.seed, args.threads, selection, bounds
@@ -137,10 +142,7 @@ def _cmd_simulate_mec(args) -> int:
 
 
 def _cmd_simulate_bsc(args) -> int:
-    m, cm = _load_check(args.pcm)
-    code = code_from_pcm(m)
-    rows = cm.rows if cm is not None else None
-    selection = cm.selection.name() if cm is not None else None
+    code, rows, selection = _load_code(args.pcm)
     bounds = channel_bounds(code, "bsc", args.p, rows, args.budget)
     report = bsc_error_rate(
         code, args.p, args.trials, args.seed, args.threads, args.budget,
@@ -215,10 +217,8 @@ def _cmd_spark(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    m, cm = _load_check(args.pcm)
-    code = code_from_pcm(m)
+    code, rows, selection = _load_code(args.pcm)
     enum = weight_enumerator(code, args.budget)
-    rows = cm.rows if cm is not None else None
     bounds = channel_bounds(code, "bsc", args.p, rows, args.budget)
     d = enum.min_distance
     report = {
@@ -226,7 +226,7 @@ def _cmd_bound(args) -> int:
             "n": code.n,
             "k": code.k,
             "field": code.field.name(),
-            "selection": cm.selection.name() if cm is not None else None,
+            "selection": selection,
         },
         "p": str(parse_probability(args.p, "p")),
         "min_distance": d,

@@ -213,7 +213,9 @@ def mec_error_rate(
     Trials run in blocks of ``_LANE_BITS // n`` lanes (at least one), in
     ``_butterfly``'s lane layout: the block's erased sets are one flag
     int, and over GF(2) its words are one int too, so the check against
-    the sent words is one fold to a lane mask.  Over GF(2) on a matrix
+    the sent words is one fold to a lane mask.  The oracle's verdicts are
+    a lane mask as well, and the block's failures, dependence events and
+    mismatches are popcounts of masks.  Over GF(2) on a matrix
     of transform rows the block's codewords are ``_polar_block``'s, with
     the message bits on the rows that are not frozen, so every c is a
     codeword; it is not ``encode``'s codeword for the message, but over
@@ -269,15 +271,12 @@ def mec_error_rate(
         else:
             pairs = enumerate(zip(sent, decoded))
             wrong = sum(1 << t for t, (c, w) in pairs if w is not None and not vectors_equal(w, c))
-        for t, (status, indep) in enumerate(zip(statuses, _flags_independent(pcm, f, size))):
-            fail, dep = status != "decoded", not indep
-            if not fail and wrong >> t & 1:
-                fail = mismatch = True  # decoded to the wrong codeword
-            else:
-                mismatch = fail != dep
-            failures += fail
-            dep_events += dep
-            mismatches += mismatch
+        failed = sum((status != "decoded") << t for t, status in enumerate(statuses))
+        dep = (1 << size) - 1 & ~_flags_independent(pcm, f, size)
+        wrong &= ~failed  # decoded to the wrong codeword: a failure and a mismatch
+        failures += (failed | wrong).bit_count()
+        dep_events += dep.bit_count()
+        mismatches += (wrong | failed ^ dep).bit_count()
     report = _report(code, "mec", pf, trials, seed, selection, failures, bounds)
     report.update(
         {
@@ -514,20 +513,12 @@ def bsc_error_rate(
 
 # no array in a bsc_error_rate block holds more words, unless one trial does
 _BLOCK_WORDS = 1 << 16
-_M1, _M2, _M4, _BYTES = (np.uint64(v * 0x0101010101010101) for v in (0x55, 0x33, 0x0F, 0x01))
-_S1, _S2, _S4, _S56 = (np.uint64(v) for v in (1, 2, 4, 56))
 
 
 def _weights(words: np.ndarray) -> np.ndarray:
-    """Hamming weight of each vector of uint64 words along the last axis.
-
-    Each word holds the bit counts of its pairs, then of its nibbles,
-    then of its bytes; one multiply sums the bytes into the top byte.
-    """
-    x = words - ((words >> _S1) & _M1)
-    x = (x & _M2) + ((x >> _S2) & _M2)
-    x = (x + (x >> _S4)) & _M4
-    return ((x * _BYTES) >> _S56).sum(-1)
+    """Hamming weight of each vector of uint64 words along the last axis:
+    numpy's per-word popcount (``bitwise_count``, numpy 2.0), summed."""
+    return np.bitwise_count(words).sum(-1)
 
 
 def render_report(report: dict) -> str:

@@ -355,8 +355,10 @@ def girth_scan(m: Matrix, grid, trials: int, seed: int, threads: int = 1) -> Gir
     All rates in one trial share that trial's uniform draws, so the
     per-trial indicators are coupled: a set sampled at a lower rate is a
     subset of the set at a higher rate, and the empirical success curve
-    is exactly nonincreasing in s, not just in expectation.  The nesting
-    also lets one basis per trial grow along the grid.  Any field works.
+    is exactly nonincreasing in s, not just in expectation.  So a trial
+    is one number, its dependence time tau (the length of its first
+    dependent prefix in u-order), and a rate's set is independent exactly
+    when its size is below tau.  Any field works.
     """
     rates = tuple(parse_probability(g, "grid rate") for g in grid)
     if not rates:
@@ -372,23 +374,16 @@ def girth_scan(m: Matrix, grid, trials: int, seed: int, threads: int = 1) -> Gir
         u = stream.raw(ncols)
         # the set sampled at a rate is a prefix of the columns sorted by u
         order = np.argsort(u, kind="stable")
-        sizes = np.searchsorted(u[order], thresholds).tolist()
-        order = order.tolist()
+        sizes = np.where(exact_one, ncols, np.searchsorted(u[order], thresholds)).tolist()
+        # sets of more than nrows columns are dependent: tau <= need + 1 decides them
+        need = max((size for size in sizes if size <= nrows), default=0)
         basis = make_basis()
-        done = 0
-        for g, (size, full) in enumerate(zip(sizes, exact_one)):
-            size = ncols if full else size
-            if size > nrows or not all(basis.insert(cols[j]) for j in order[done:size]):
-                # dependence is inherited by the superset at a higher rate
-                return [True] * g + [False] * (len(rates) - g)
-            done = size
-        return [True] * len(rates)
+        prefix = enumerate(order[:need].tolist(), 1)
+        tau = next((i for i, j in prefix if not basis.insert(cols[j])), need + 1)
+        return [size < tau for size in sizes]
 
     results = run_trials(trials, one_trial, seed, threads)
-    reports = tuple(
-        TrialReport(trials, sum(1 for r in results if r[g]), seed)
-        for g in range(len(rates))
-    )
+    reports = tuple(TrialReport(trials, sum(verdicts), seed) for verdicts in zip(*results))
     return GirthScanResult(rates, reports)
 
 

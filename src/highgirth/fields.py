@@ -271,14 +271,6 @@ class ColumnSet:
         return cls(tuple(sorted({int(i) for i in items})))
 
     @classmethod
-    def _sorted_ints(cls, indices: tuple[int, ...]) -> "ColumnSet":
-        """Wrap indices that are already ints >= 1, sorted and distinct,
-        such as ``np.flatnonzero(mask) + 1`` as a list, without the check."""
-        cs = object.__new__(cls)
-        object.__setattr__(cs, "indices", indices)
-        return cs
-
-    @classmethod
     def empty(cls) -> "ColumnSet":
         return cls(())
 
@@ -782,13 +774,13 @@ def columns_independent(m: Matrix, cols) -> bool:
     """Whether the selected columns are linearly independent
     (``_flags_independent`` on their flag int, one lane)."""
     cs = _as_column_set(cols, m.ncols)
-    return _flags_independent(m, _flag_int(cs.indices, m.ncols), 1)[0]
+    return _flags_independent(m, _flag_int(cs.indices, m.ncols), 1) == 1
 
 
-def _flags_independent(m: Matrix, f: int, lanes: int) -> list[bool]:
-    """For each lane t of the block of flag ints ``f`` (coordinate j of
-    lane t at bit j * lanes + t), whether the columns of m at lane t's
-    flags are independent.
+def _flags_independent(m: Matrix, f: int, lanes: int) -> int:
+    """The lanes t of the block of flag ints ``f`` (coordinate j of lane
+    t at bit j * lanes + t) whose flagged columns of m are independent,
+    as a mask with bit t for lane t.
 
     The one oracle body, over every field.  When m is made of transform
     rows (``Matrix._frozen_rows``), peeling on the butterfly graph
@@ -800,19 +792,19 @@ def _flags_independent(m: Matrix, f: int, lanes: int) -> list[bool]:
     the block first.  Other matrices eliminate each whole set.
     """
     n, unit = m.ncols, _lane_unit(m.ncols, lanes)
-    out = [(f & unit << t).bit_count() <= m.nrows for t in range(lanes)]
-    fit = sum(1 << t for t in range(lanes) if out[t])
+    fit = sum(((f & unit << t).bit_count() <= m.nrows) << t for t in range(lanes))
     frozen = m._frozen_rows()
     if frozen is not None:
         f &= unit * fit
         f &= ~_bp_known(f, frozen, n, lanes)
     left = _lanes_any(f, n, lanes) & fit
+    out = fit & ~left
     if left:
         make_basis, vecs = independence_tracker(m)
         for t, g in enumerate(_lane_ints(f, n, lanes)):
             if left >> t & 1:
                 basis = make_basis()
-                out[t] = all(basis.insert(vecs[j]) for j in _bit_indices(g, n))
+                out |= all(basis.insert(vecs[j]) for j in _bit_indices(g, n)) << t
     return out
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface in a subprocess."""
 
+import hashlib
 import json
 import os
 import re
@@ -412,3 +413,46 @@ def test_readme_commands_parse():
             build_parser().parse_args(shlex.split(ln, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {ln}")
+
+
+# ---------------------------------------------------------------- pinned bytes
+
+# SHA-256 of each file the CLI writes for these runs: criterion 6's matrix
+# and its girth scan, an exact and a float profile, and an n = 64 check
+# matrix with its sidecar over each field kind
+OUTPUT_SHA256 = {
+    "h256.txt": "4963ce3e4ecd5f254e350bb7be21596fa5af7dba3ea8da6c178d96fe3c1c1405",
+    "h256.txt.json": "ef7fdc7b53c999aee084f7fe5a013dbb47e782ee1fd48b2cecfb160b97948daa",
+    "h64-gf2.txt": "1bf21cc9dc01bcebd3913f01c5da6b7ca06bf8caad3e4141507ca6ba1272131e",
+    "h64-gf2.txt.json": "186668f23f404468dc7ace706dd46668c105bf18b91d4e7ae0c79729bcd505e0",
+    "h64-gfp3.txt": "a684842c054869b0879844a85deaeb59ca79aa4bbfd03ac515cf9189c4004075",
+    "h64-gfp3.txt.json": "186668f23f404468dc7ace706dd46668c105bf18b91d4e7ae0c79729bcd505e0",
+    "h64-rational.txt": "31424c98aa805f159aad0fcbb956c359ab5c2e75a1d8ccc1c11e50ecd87ae402",
+    "h64-rational.txt.json": "186668f23f404468dc7ace706dd46668c105bf18b91d4e7ae0c79729bcd505e0",
+    "p4096.csv": "93831aa16c004fe605c440c294a68198d2e492034c501cf84f5529cbae6d1fab",
+    "p64.csv": "6e2606ea9513150b71528bb00aefb42f3bff857ab8cad2bed1d3a5adb9776971",
+    "scan.csv": "1c4f32c4e2c276d2b5a3716ed2a493fe776ad01de07199c1ccbaa83b493f7d1e",
+}
+
+
+def test_cli_output_bytes_are_pinned(tmp_path):
+    def at(name):
+        return str(tmp_path / name)
+
+    grid = ",".join(f"0.{k:02d}" for k in (*range(10, 55, 5), 60, 65))
+    runs = [
+        ("construct", "--n", "256", "--s", "1/2", "--select", "top:102", "--out", at("h256.txt")),
+        ("analyze", "girth-scan", "--matrix", at("h256.txt"), "--grid", grid,
+         "--trials", "200", "--seed", "61", "--out", at("scan.csv")),
+        ("profile", "--n", "64", "--s", "1/2", "--exact", "--out", at("p64.csv")),
+        ("profile", "--n", "4096", "--s", "2/5", "--float", "--out", at("p4096.csv")),
+    ]
+    for field in ("gf2", "gfp:3", "rational"):
+        out = at(f"h64-{field.replace(':', '')}.txt")
+        runs.append(
+            ("construct", "--n", "64", "--s", "1/2", "--select", "top:26", "--field", field, "--out", out)
+        )
+    for cmd in runs:
+        assert run_cli(*cmd).returncode == 0, cmd
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert got == OUTPUT_SHA256

@@ -35,7 +35,8 @@ from highgirth import (
     write_check_matrix,
     write_scan_csv,
 )
-from highgirth.fields import _transform_rows, vector, vectors_equal
+from highgirth.fields import _transform_rows, columns_independent, vector, vectors_equal
+from highgirth.montecarlo import SubStream, _below, threshold_u64
 from highgirth.sparse import BernoulliSupport
 
 F = Fraction
@@ -353,6 +354,29 @@ def test_girth_scan_monotone_by_coupling():
     assert all(a >= b for a, b in zip(rates, rates[1:]))
     assert res.trials == 400 and res.seed == 19
     assert len(res.estimates) == len(grid)
+
+
+def test_girth_scan_counts_equal_a_per_rate_replay():
+    # trial t's set at rate r is the columns whose words of SubStream(seed, t)
+    # fall below r's threshold; the scan counts exactly the independent ones
+    grid = [F(0), F(1, 5), F(1, 5), F(2, 5), F(1, 2), F(3, 4), F(1)]
+    trials, seed = 60, 13
+    rng = random.Random(13)
+    for field, entries in ((GF2, (0, 0, 1)), (GF3, (0, 0, 1, 2)), (RAT, (0, 0, 1, -1, 2))):
+        mats = [
+            Matrix.from_rows(field, [[rng.choice(entries) for _ in range(c)] for _ in range(r)])
+            for r, c in ((3, 8), (6, 6), (8, 5))
+        ]
+        mats.append(check_matrix(16, F(1, 2), SelectionSpec.top(6), field).matrix)
+        for m in mats:
+            want = [0] * len(grid)
+            for t in range(trials):
+                u = SubStream(seed, t).raw(m.ncols)
+                for g, r in enumerate(grid):
+                    cols = np.flatnonzero(_below(u, threshold_u64(r))) + 1
+                    want[g] += columns_independent(m, cols.tolist())
+            got = girth_scan(m, grid, trials, seed)
+            assert [rep.successes for rep in got.estimates] == want, (field, m.nrows, m.ncols)
 
 
 def test_girth_scan_generic_field_matches_gf2_semantics():

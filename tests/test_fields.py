@@ -1180,3 +1180,26 @@ def test_certified_pattern_skips_elimination(monkeypatch):
     other = Matrix.from_rows(GF2, random_rows(random.Random(5), 614, 1024, GF2))
     assert columns_independent(other, ColumnSet.of(erased[:100] + 1))
     assert calls
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 64])
+def test_flags_independent_block_equals_each_lane(lanes):
+    # the laned oracle answers every lane of a block as columns_independent
+    # answers that lane's set alone: on transform rows (peeling, then a
+    # residue) over GF(2) and GF(3), and on a matrix of other rows
+    rng = np.random.default_rng(lanes)
+    top26 = SelectionSpec.top(26)
+    mats = [
+        check_matrix(64, Fraction(1, 2), top26).matrix,
+        check_matrix(64, Fraction(1, 2), top26, GF3).matrix,
+        Matrix.from_rows(GF2, rng.integers(0, 2, (12, 64)).tolist()),
+    ]
+    rates = np.linspace(0.05, 0.6, lanes)
+    for m in mats:
+        flags = (rng.random((m.ncols, lanes)) < rates).astype(np.uint8)
+        want = [columns_independent(m, (np.flatnonzero(flags[:, t]) + 1).tolist()) for t in range(lanes)]
+        got = fields._flags_independent(m, _bits_int(flags.reshape(-1)), lanes)
+        if not isinstance(got, int):  # a list of verdicts reads as the same lane mask
+            got = sum(bool(v) << t for t, v in enumerate(got))
+        assert [bool(got >> t & 1) for t in range(lanes)] == want
+        assert 0 < got.bit_count() < lanes or lanes == 1
