@@ -15,12 +15,13 @@ still v & lo and v >> h * L.
 
 A matrix of the rows ``frozen`` of T has the kernel {x : u_i = 0 for
 i in frozen}, the polar code with those rows frozen.  Two algorithms on
-the graph serve it, each on every lane of a block at once: successive
-cancellation (``_sc_decode``, over GF(2)), which the erasure decoder
+the graph serve it, each on every lane of a block at once and each by
+recursion on one node tree (``_sc_plan``): successive cancellation
+(``_sc_decode``, over GF(2)), which the erasure decoder
 ``fields._erasure_decode`` runs, and peeling (``_bp_known``, over every
 field), which the independence oracle ``fields._flags_independent``
-runs.  Neither calls the other, so decoder and oracle share no
-certificate.
+runs.  The tree is the graph's structure, not a certificate: neither
+algorithm calls the other, so decoder and oracle share none.
 """
 from __future__ import annotations
 
@@ -130,8 +131,8 @@ _RATE0, _RATE1, _REP, _SPC, _MIXED = range(5)
 
 @functools.lru_cache(maxsize=16)
 def _sc_plan(frozen: int, n: int, lanes: int = 1) -> tuple:
-    """The node tree ``_sc_decode`` walks for the frozen mask ``frozen``
-    on blocks of ``lanes`` lanes.
+    """The node tree that ``_sc_decode`` and ``_bp_open`` walk for the
+    frozen mask ``frozen`` on blocks of ``lanes`` lanes.
 
     A node whose m leaves are all frozen, or none, or all but the last,
     or only the first, is a leaf of the plan: its code is {0}, every
@@ -143,7 +144,9 @@ def _sc_plan(frozen: int, n: int, lanes: int = 1) -> tuple:
     coordinates onto its first by halving, (1 << lanes) - 1, and
     ``_lane_unit(m, lanes)``, which spreads a lanes-bit value over the
     coordinates in one multiply.  Any other node is (_MIXED,
-    h * lanes, low-half mask, left, right).
+    h * lanes, low-half mask, left, right, closed): closed is what
+    peeling leaves open of the node's x when all of it is erased, built
+    from the children's own, and only ``_bp_open`` reads it.
     """
     ones = (1 << lanes) - 1
 
@@ -156,7 +159,8 @@ def _sc_plan(frozen: int, n: int, lanes: int = 1) -> tuple:
             folds = tuple(m * lanes >> k for k in range(1, m.bit_length()))
             return (kind, folds, ones, _lane_unit(m, lanes))
         h = m >> 1
-        return (_MIXED, h * lanes, (1 << h * lanes) - 1, node(frozen & full >> h, h), node(frozen >> h, h))
+        plan = (_MIXED, h * lanes, (1 << h * lanes) - 1, node(frozen & full >> h, h), node(frozen >> h, h), -1)
+        return plan[:5] + (_bp_open((1 << m * lanes) - 1, plan),)  # -1 bounds nothing
 
     return node(frozen, n)
 
@@ -191,7 +195,7 @@ def _sc_decode(v: int, f: int, plan: tuple) -> tuple[int, int]:
         return v, 0
     kind = plan[0]
     if kind == _MIXED:
-        _, s, lo, left, right = plan
+        _, s, lo, left, right, _ = plan
         va, vb, fa, fb = v & lo, v >> s, f & lo, f >> s
         w, fab = va ^ vb, fa & fb
         c1, bad = _sc_decode(w, fa | fb, left)
@@ -223,56 +227,57 @@ def _sc_decode(v: int, f: int, plan: tuple) -> tuple[int, int]:
 
 def _bp_known(f: int, frozen: int, n: int, lanes: int = 1) -> int:
     """The coordinates of x that peeling on the butterfly graph determines,
-    in every lane of the block ``f`` at once.
-
-    The graph has log2(n) + 1 stages of n nodes: stage 0 is x, known off
-    the flagged set ``f``, and the last is u = T x, known (zero) on
-    ``frozen`` (an n-bit mask, the same in every lane).  The layer between
-    stages k and k + 1 is the butterfly of entry k of ``_sc_masks`` (the
-    top bit next to x): a node j with that bit clear is the sum of j and
-    j + h one stage back, and j + h passes through.  Over any field, any
-    two of the three give the third.  Sweeps run the layers forward and
-    back in turn (``_peel``) until nothing changes or all of x is known.
-    Peeling's fixpoint does not depend on the schedule or on where it
-    starts below the fixpoint, so it starts from what the frozen rows
-    determine alone (``_frozen_known``), and each lane gets exactly its
-    own known mask, however many sweeps the other lanes take (every step
-    is lane-wise).  Returns stage 0's known mask; every value peeling
-    derives is zero on a kernel vector that is zero off ``f``.
-    """
-    known = list(_frozen_known(frozen, n, lanes))
-    known[0] |= (1 << n * lanes) - 1 & ~f
-    return _peel(known, n, lanes)[0]
-
-
-@functools.lru_cache(maxsize=16)
-def _frozen_known(frozen: int, n: int, lanes: int) -> tuple[int, ...]:
-    """Each stage's known mask when all of x is erased: what the frozen
-    rows determine alone, in every lane.  Every fixpoint of ``_bp_known``
-    holds it, and starting there saves the sweeps that carry it down."""
-    known = [0] * n.bit_length()
-    known[-1] = _lane_copies(frozen, n, lanes)
-    return tuple(_peel(known, n, lanes))
-
-
-def _peel(known: list[int], n: int, lanes: int) -> list[int]:
-    """Peeling's sweeps on the stage masks ``known``, in place."""
+    in every lane of the block ``f`` at once: x is known off ``f``, u = T x
+    is zero on ``frozen`` (an n-bit mask, the same in every lane), and at
+    each butterfly any two of the three nodes give the third, over any
+    field.  Peeling's fixpoint does not depend on the schedule, so one
+    descent of the node tree (``_bp_open`` on ``_sc_plan``) reaches it,
+    lane by lane.  Every value peeling derives is zero on a kernel vector
+    that is zero off ``f``."""
     full = (1 << n * lanes) - 1
-    layers = list(enumerate(_sc_masks(n, lanes)))
-    changed = True
-    while changed and known[0] != full:
-        changed = False
-        for k, (h, lo) in layers:
-            old, new = known[k], known[k + 1]
-            olo, nlo, hi = old & lo, new & lo, ((old | new) >> h) & lo
-            nlo |= olo & hi
-            olo |= nlo & hi
-            hi = (hi | (nlo & olo)) << h
-            if olo | hi != old or nlo | hi != new:
-                known[k], known[k + 1] = olo | hi, nlo | hi
-                changed = True
-        layers.reverse()
-    return known
+    return full ^ _bp_open(f & full, _sc_plan(frozen, n, lanes))
+
+
+def _bp_open(e: int, plan: tuple) -> int:
+    """What peeling on a node's subgraph leaves open of the erased set
+    ``e`` of its x, in every lane.  A mixed node's children see x's halves
+    a and b as a + b and b; any two of the three give the third, and
+    those rules alternate with the children's own fixpoints until a + b
+    gains nothing.  The node's closed mask bounds every answer, and is
+    the answer once ``e`` holds it (peeling is monotone).  A leaf folds
+    lanes: rate 0 fixes every lane, rate 1 none, the repetition code each
+    with one known coordinate, the parity check each with one erasure."""
+    kind = plan[0]
+    if kind == _MIXED:
+        _, s, lo, left, right, closed = plan
+        e &= closed
+        if e == closed or not e:
+            return e
+        elo, eb = e & lo, e >> s
+        ea = elo | eb
+        while True:
+            ea = _bp_open(ea, left) if ea else 0
+            g = eb & (ea | elo)
+            eb = _bp_open(g, right) if g else 0
+            elo &= ea | eb
+            nxt = ea & (elo | eb)
+            if nxt == ea:
+                return elo | eb << s
+            ea = nxt
+    if kind == _RATE0:
+        return 0
+    _, folds, ones, rep = plan
+    if kind == _RATE1:
+        return e
+    if kind == _REP:
+        for s in folds:
+            e &= e >> s
+        return (e & ones) * rep
+    one, two = e, 0
+    for s in folds:
+        two |= (two >> s) | (one & (one >> s))
+        one |= one >> s
+    return e & (two & ones) * rep
 
 
 @functools.lru_cache(maxsize=16)

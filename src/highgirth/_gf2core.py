@@ -6,8 +6,8 @@ against a basis keyed by each basis vector's highest set bit and either
 adds it or returns what is left.  Everything else is built on it:
 
 - ``rank_packed`` inserts vectors (rows or columns) and counts;
-- ``echelon`` inserts a matrix's columns in order, each tagged in its
-  low bits with the set of input columns it is the sum of.
+- ``echelon`` and ``solve_packed`` insert a matrix's columns in order,
+  each tagged in its low bits with the set of input columns it sums.
 
 Inserting columns in order makes a column a pivot exactly when it is
 independent of the columns before it, which is the pivot set of the
@@ -67,17 +67,23 @@ def echelon(columns: list[int]) -> tuple[list[int], list[int], dict[int, int]]:
     return pivots, relations, basis
 
 
-def solve_packed(columns: list[int], y: int) -> tuple[int, bool, int]:
-    """Solve sum of x_j * columns[j] = y.
+def solve_packed(columns: list[int], y: int, nrows: int) -> tuple[int, bool, int]:
+    """Solve sum of x_j * columns[j] = y over ``nrows`` rows.
 
     Returns (rank, consistent, x) with x the mask of the unique solution
     supported on the pivot columns (every free variable zero); x is 0
-    when the system is inconsistent.
+    when the system is inconsistent.  Once nrows columns are pivots the
+    rest are free and y is in their span, so elimination stops there.
     """
-    pivots, _, basis = echelon(columns)
     k = len(columns)
+    basis: dict[int, int] = {}
+    for j, c in enumerate(columns):
+        if len(basis) == nrows:
+            break
+        insert(basis, (c << k) | (1 << j), 1 << k)
+    rank = len(basis)
     x = insert(basis, y << k, 1 << k)
-    return len(pivots), x is not None, x or 0
+    return rank, x is not None, x or 0
 
 
 def rank_packed(vectors: list[int]) -> int:

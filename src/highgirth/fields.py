@@ -849,7 +849,7 @@ def _solve_columns(m: Matrix, idx, y):
         if yv.shape[0] != m.nrows:
             raise ValueError("rhs length does not match nrows")
         cols = m._column_ints()
-        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _bits_int(yv))
+        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _bits_int(yv), m.nrows)
         return rk, ok, (_int_bits(x, len(idx)) if ok else None)
     return _solve_native(m, idx, *_native(m.field, y))
 
@@ -927,7 +927,7 @@ def _fill(m: Matrix, y, idx: list[int]) -> tuple[str, object]:
     gf2 = m.field.kind == GF2
     if gf2:  # the syndrome is the XOR of the cached columns at y's bits
         cols = m._column_ints()
-        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _xor_at(cols, _int_bits(y, m.ncols)))
+        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _xor_at(cols, _int_bits(y, m.ncols)), m.nrows)
     else:
         # y is canonical, so its copy goes through no entry check
         y = y.copy() if isinstance(y, np.ndarray) else list(y)

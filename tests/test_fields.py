@@ -437,10 +437,39 @@ def test_gf2_solve_backends_match():
         if reachable:
             assert len(on_pivots) == 1
             assert sum(int(b) << j for j, b in enumerate(x)) == on_pivots[0]
-            assert core.solve_packed(cols, y) == (rk, True, on_pivots[0])
+            assert core.solve_packed(cols, y, len(rows)) == (rk, True, on_pivots[0])
         else:
             assert x is None
-            assert core.solve_packed(cols, y)[:2] == (rk, False)
+            assert core.solve_packed(cols, y, len(rows))[:2] == (rk, False)
+
+
+def solve_every_column(columns, y):
+    """The solve body that eliminates every column, whatever the rank."""
+    pivots, _, basis = core.echelon(columns)
+    k = len(columns)
+    x = core.insert(basis, y << k, 1 << k)
+    return len(pivots), x is not None, x or 0
+
+
+def test_solve_stops_at_full_rank_with_the_same_answer():
+    # wide, square and narrow systems, 0 rows included, with y in the
+    # span and y random: stopping once the basis holds nrows pivots leaves
+    # rank, consistency and the pivot-supported solution unchanged
+    rng = random.Random(141)
+    shapes = [(0, 0), (0, 5), (1, 1), (3, 9), (8, 8), (9, 3)]
+    shapes += [(rng.randrange(1, 40), rng.randrange(1, 60)) for _ in range(200)]
+    full_rank = 0
+    for nrows, ncols in shapes:
+        density = rng.choice((0.1, 0.5, 0.9))
+        cols = [sum(1 << i for i in range(nrows) if rng.random() < density) for _ in range(ncols)]
+        span = 0
+        for c in cols:
+            span ^= c * rng.randrange(2)
+        for y in (span, rng.getrandbits(nrows) if nrows else 0):
+            want = solve_every_column(cols, y)
+            assert core.solve_packed(cols, y, nrows) == want, (nrows, ncols)
+            full_rank += want[0] == nrows < ncols
+    assert full_rank
 
 
 def test_gf2_kernel_matches_reference():
@@ -1027,7 +1056,112 @@ def test_laned_peeling_and_transform_equal_the_per_lane_ones():
         for v in sets:
             stages = [full & ~v] + [0] * (n.bit_length() - 1)
             stages[-1] |= frozen
-            assert _butterfly._peel(stages, n, 1)[0] == _bp_known(v, frozen, n)
+            assert flood(stages, n, 1)[0] == _bp_known(v, frozen, n)
+
+
+# Peeling by flooding, the reference for _bp_known's descent of the node
+# tree: sweep the butterfly layers forward and back until nothing changes.
+
+
+def flood(stages, n, lanes):
+    """Flooding sweeps on the stage masks ``stages`` (stage 0 is x, the
+    last is u), in place: at every butterfly any two known nodes give the
+    third, until nothing changes or all of x is known."""
+    full = (1 << n * lanes) - 1
+    layers = list(enumerate(_butterfly._sc_masks(n, lanes)))
+    changed = True
+    while changed and stages[0] != full:
+        changed = False
+        for k, (h, lo) in layers:
+            old, new = stages[k], stages[k + 1]
+            olo, nlo, hi = old & lo, new & lo, ((old | new) >> h) & lo
+            nlo |= olo & hi
+            olo |= nlo & hi
+            hi = (hi | (nlo & olo)) << h
+            if olo | hi != old or nlo | hi != new:
+                stages[k], stages[k + 1] = olo | hi, nlo | hi
+                changed = True
+        layers.reverse()
+    return stages
+
+
+def flooding_known(f, frozen, n, lanes=1):
+    """x's known mask by flooding: first from the frozen rows alone, then
+    with x known off ``f`` as well (at n = 1 stage 0 is u, so the frozen
+    mask stays in it)."""
+    stages = [0] * n.bit_length()
+    stages[-1] = _butterfly._lane_copies(frozen, n, lanes)
+    stages = flood(stages, n, lanes)
+    stages[0] |= (1 << n * lanes) - 1 & ~f
+    return flood(stages, n, lanes)[0]
+
+
+def mixed_nodes(plan, frozen, m):
+    """(node, its frozen mask, its size) for every mixed node of a plan."""
+    if plan[0] == _butterfly._MIXED:
+        h = m >> 1
+        yield plan, frozen, m
+        yield from mixed_nodes(plan[3], frozen & (1 << h) - 1, h)
+        yield from mixed_nodes(plan[4], frozen >> h, h)
+
+
+def check_all_erased_fields(frozen, n, lanes):
+    """Check that each mixed node of the plan carries what flooding leaves
+    open from all of its x erased; return how many nodes were checked."""
+    seen = 0
+    for node, fm, m in mixed_nodes(_sc_plan(frozen, n, lanes), frozen, n):
+        every = (1 << m * lanes) - 1
+        assert node[5] == every ^ flooding_known(every, fm, m, lanes), (frozen, n, lanes, m)
+        seen += 1
+    return seen
+
+
+def test_peeling_by_recursion_equals_flooding_exhaustive():
+    # every frozen mask and every erased set at n <= 8 in one lane, and
+    # every block of 2 and 3 lanes at n = 4
+    nodes = 0
+    for n in (1, 2, 4, 8):
+        for frozen in range(1 << n):
+            nodes += check_all_erased_fields(frozen, n, 1)
+            for f in range(1 << n):
+                assert _bp_known(f, frozen, n) == flooding_known(f, frozen, n), (n, frozen, f)
+    n = 4
+    for frozen in range(1 << n):
+        for lanes in (2, 3):
+            nodes += check_all_erased_fields(frozen, n, lanes)
+            for block in itertools.product(range(1 << n), repeat=lanes):
+                f = interleaved(block, n)
+                assert _bp_known(f, frozen, n, lanes) == flooding_known(f, frozen, n, lanes), (frozen, block)
+    assert nodes
+
+
+@pytest.mark.parametrize(
+    "n,s,top", [(16, Fraction(1, 2), 6), (64, Fraction(1, 2), 26), (256, Fraction(1, 2), 102), (1024, Fraction(2, 5), 614)]
+)
+def test_peeling_by_recursion_equals_flooding_random_and_structured(n, s, top):
+    # random frozen masks, none, all and the paper's rows, against erased
+    # sets that are empty, full, a half, every other coordinate, a window
+    # or random at several densities, in blocks of 1, 3 and 64 lanes
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    evens = full // 3
+    polar = mask(i - 1 for i in check_matrix(n, s, SelectionSpec.top(top)).rows)
+    frozens = [0, full, rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n), polar]
+    start = rng.randrange(n // 2)
+    sets = [0, full, full >> n // 2, full & ~(full >> n // 2), evens, evens << 1, (full >> n // 2) << start]
+    for p in (0.1, 0.3, 0.4, 0.5, 0.6, 0.8, 0.95):
+        sets.append(sum(1 << j for j in range(n) if rng.random() < p))
+    nodes = 0
+    for frozen in frozens:
+        for lanes in (1, 3, 64):
+            nodes += check_all_erased_fields(frozen, n, lanes)
+            blocks = [sets[i : i + lanes] for i in range(0, len(sets), lanes)] if lanes < 64 else []
+            blocks += [[rng.choice(sets) for _ in range(lanes)] for _ in range(2)]
+            for block in blocks:
+                f = interleaved(block, n)
+                want = flooding_known(f, frozen, n, len(block))
+                assert _bp_known(f, frozen, n, len(block)) == want, (n, frozen, lanes, block)
+    assert nodes
 
 
 def test_bp_residue_verdict_gf2_n16():
