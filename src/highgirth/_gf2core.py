@@ -2,8 +2,11 @@
 
 A vector is an int whose bit i is its entry i, so adding two vectors is
 one XOR.  ``insert`` is the only elimination loop: it reduces a vector
-against a basis keyed by each basis vector's highest set bit and either
-adds it or returns what is left.  Everything else is built on it:
+from its top bit down against a pivot table, a list whose entry h holds
+the basis vector with bit length h (or None), and either adds it or
+returns what is left.  Every caller sizes its table past the longest
+vector it will insert and counts its own rank.  Everything else is
+built on it:
 
 - ``rank_packed`` inserts vectors (rows or columns) and counts;
 - ``echelon`` and ``solve_packed`` insert a matrix's columns in order,
@@ -27,44 +30,45 @@ import operator
 import numpy as np
 
 
-def insert(basis: dict[int, int], v: int, floor: int = 1) -> int | None:
-    """Reduce ``v`` against ``basis`` on its bits at or above ``floor``.
+def insert(table: list, v: int, floor: int = 1) -> int | None:
+    """Reduce ``v`` against the pivot ``table`` on its bits at or above
+    ``floor``; the table is longer than v's bit length.
 
     Returns None when a bit there survives, after adding the reduced
-    vector to ``basis``; otherwise returns the remainder, which is below
+    vector to ``table``; otherwise returns the remainder, which is below
     ``floor``.
     """
     while v >= floor:
         h = v.bit_length()
-        row = basis.get(h)
+        row = table[h]
         if row is None:
-            basis[h] = v
+            table[h] = v
             return None
         v ^= row
     return v
 
 
-def echelon(columns: list[int]) -> tuple[list[int], list[int], dict[int, int]]:
+def echelon(columns: list[int]) -> tuple[list[int], list[int], list]:
     """Eliminate ``columns`` (bit i = row i) in order.
 
-    Returns (pivots, relations, basis).  ``pivots`` are the columns
+    Returns (pivots, relations, table).  ``pivots`` are the columns
     independent of the columns before them, ascending.  ``relations``
     holds one mask per other column, in order: that column plus the
     earlier pivots that sum to it, so each is a kernel vector.  Each
-    ``basis`` vector is a reduced column shifted up by ``len(columns)``
-    bits, above the mask of input columns it sums.
+    vector in the pivot ``table`` is a reduced column shifted up by
+    ``len(columns)`` bits, above the mask of input columns it sums.
     """
     k = len(columns)
     floor = 1 << k
-    basis: dict[int, int] = {}
+    table = [None] * (max(columns, default=0).bit_length() + k + 1)
     pivots, relations = [], []
     for j, c in enumerate(columns):
-        rest = insert(basis, (c << k) | (1 << j), floor)
+        rest = insert(table, (c << k) | (1 << j), floor)
         if rest is None:
             pivots.append(j)
         else:
             relations.append(rest)
-    return pivots, relations, basis
+    return pivots, relations, table
 
 
 def solve_packed(columns: list[int], y: int, nrows: int) -> tuple[int, bool, int]:
@@ -76,20 +80,21 @@ def solve_packed(columns: list[int], y: int, nrows: int) -> tuple[int, bool, int
     rest are free and y is in their span, so elimination stops there.
     """
     k = len(columns)
-    basis: dict[int, int] = {}
+    floor = 1 << k
+    table = [None] * (max(max(columns, default=0), y).bit_length() + k + 1)
+    rank = 0
     for j, c in enumerate(columns):
-        if len(basis) == nrows:
+        if rank == nrows:
             break
-        insert(basis, (c << k) | (1 << j), 1 << k)
-    rank = len(basis)
-    x = insert(basis, y << k, 1 << k)
+        rank += insert(table, (c << k) | (1 << j), floor) is None
+    x = insert(table, y << k, floor)
     return rank, x is not None, x or 0
 
 
 def rank_packed(vectors: list[int]) -> int:
     """Number of linearly independent vectors among ``vectors``."""
-    basis: dict[int, int] = {}
-    return sum(insert(basis, v) is None for v in vectors)
+    table = [None] * (max(vectors, default=0).bit_length() + 1)
+    return sum(insert(table, v) is None for v in vectors)
 
 
 # ---------------------------------------------------------------------------

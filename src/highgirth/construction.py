@@ -358,15 +358,18 @@ def girth_scan(m: Matrix, grid, trials: int, seed: int, threads: int = 1) -> Gir
     is exactly nonincreasing in s, not just in expectation.  So a trial
     is one number, its dependence time tau (the length of its first
     dependent prefix in u-order), and a rate's set is independent exactly
-    when its size is below tau.  Any field works.
+    when its size is below tau.  Any field works: the tracker's
+    ``insert_prefix`` counts the independent prefix, over GF(2) on the
+    matrix's sparse-top column ints (``Matrix._sparse_top_ints``).
     """
     rates = tuple(parse_probability(g, "grid rate") for g in grid)
     if not rates:
         raise ValueError("empty grid")
     if any(b < a for a, b in zip(rates, rates[1:])):
         raise ValueError("grid must be sorted ascending")
-    thresholds = np.array([min(threshold_u64(r), (1 << 64) - 1) for r in rates], np.uint64)
-    exact_one = [threshold_u64(r) >= 1 << 64 for r in rates]
+    full = [threshold_u64(r) for r in rates]
+    thresholds = np.array([min(t, (1 << 64) - 1) for t in full], np.uint64)
+    exact_one = [t >= 1 << 64 for t in full]
     nrows, ncols = m.nrows, m.ncols
     make_basis, cols = independence_tracker(m)
 
@@ -377,9 +380,7 @@ def girth_scan(m: Matrix, grid, trials: int, seed: int, threads: int = 1) -> Gir
         sizes = np.where(exact_one, ncols, np.searchsorted(u[order], thresholds)).tolist()
         # sets of more than nrows columns are dependent: tau <= need + 1 decides them
         need = max((size for size in sizes if size <= nrows), default=0)
-        basis = make_basis()
-        prefix = enumerate(order[:need].tolist(), 1)
-        tau = next((i for i, j in prefix if not basis.insert(cols[j])), need + 1)
+        tau = make_basis().insert_prefix([cols[j] for j in order[:need].tolist()]) + 1
         return [size < tau for size in sizes]
 
     results = run_trials(trials, one_trial, seed, threads)

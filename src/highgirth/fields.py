@@ -31,7 +31,10 @@ chosen columns of a matrix, read from the matrix's cached column form
 builds a sub-matrix.  ``solve_full`` is the subset of all columns; the
 erasure decoder and minimum-support recovery pass their own subsets.
 GF(2) ``matvec`` reads the same cached column ints, and rational
-``matvec`` the cached scaled columns.
+``matvec`` the cached scaled columns.  GF(2) questions whose answer does
+not depend on the row order (independence, and the erasure decoder's
+fallback solve) read the columns over the rows sorted by weight instead
+(``Matrix._sparse_top_ints``).
 
 Rows of the n x n transform T (1 at (i, j) when i & ~j == 0) come from
 one builder, ``_transform_rows``, over every field.  Over GF(2) it
@@ -468,15 +471,31 @@ class Matrix:
 
     # -- internal caches ----------------------------------------------
 
-    def _t_bits(self) -> np.ndarray:
-        """Packed rows of the transpose (gf2), freshly built."""
-        return _pack_rows_u8(_unpack_bits(self._data, self.ncols).T)
+    def _t_ints(self, rows: np.ndarray) -> list[int]:
+        """The columns of packed ``rows`` of this width (gf2) as ints,
+        bit i = row i, freshly built."""
+        return _row_ints(_pack_rows_u8(_unpack_bits(rows, self.ncols).T))
 
     def _column_ints(self) -> list[int]:
         """Columns as nrows-bit integers (gf2). Cached."""
         ci = self._cache.get("colints")
         if ci is None:
-            ci = self._cache["colints"] = _row_ints(self._t_bits())
+            ci = self._cache["colints"] = self._t_ints(self._data)
+        return ci
+
+    def _sparse_top_ints(self) -> list[int]:
+        """Columns as nrows-bit integers (gf2) over the rows sorted by
+        weight, the lightest row on the top bit (ties in row order).
+
+        ``_gf2core.insert`` reduces from the top bit down, and a light
+        row is set in few columns, so a high pivot is rarely hit.  Rank,
+        independence and the pivot-supported solution do not depend on
+        the row order.  Cached.
+        """
+        ci = self._cache.get("sparsetop")
+        if ci is None:
+            weight = np.bitwise_count(self._data).sum(axis=1, dtype=np.int64)
+            ci = self._cache["sparsetop"] = self._t_ints(self._data[np.argsort(-weight, kind="stable")])
         return ci
 
     def _column_vectors(self) -> tuple[list, list[int]]:
@@ -803,8 +822,8 @@ def _flags_independent(m: Matrix, f: int, lanes: int) -> int:
         make_basis, vecs = independence_tracker(m)
         for t, g in enumerate(_lane_ints(f, n, lanes)):
             if left >> t & 1:
-                basis = make_basis()
-                out |= all(basis.insert(vecs[j]) for j in _bit_indices(g, n)) << t
+                residue = [vecs[j] for j in _bit_indices(g, n)]
+                out |= (make_basis().insert_prefix(residue) == len(residue)) << t
     return out
 
 
@@ -921,12 +940,12 @@ def _erasure_decode(m: Matrix, y, f: int, lanes: int) -> tuple[list[str], object
 def _fill(m: Matrix, y, idx: list[int]) -> tuple[str, object]:
     """Solve for the coordinates ``idx`` of one received word from its
     syndrome on m's cached columns: over GF(2) with y an int that is zero
-    on idx (``_gf2core.solve_packed``), otherwise with the idx slots of a
-    copy of y zeroed (``_solve_native``).  Returns (status, codeword in
-    y's form, or None)."""
+    on idx (``_gf2core.solve_packed`` on ``_sparse_top_ints``), otherwise
+    with the idx slots of a copy of y zeroed (``_solve_native``).
+    Returns (status, codeword in y's form, or None)."""
     gf2 = m.field.kind == GF2
     if gf2:  # the syndrome is the XOR of the cached columns at y's bits
-        cols = m._column_ints()
+        cols = m._sparse_top_ints()
         rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _xor_at(cols, _int_bits(y, m.ncols)), m.nrows)
     else:
         # y is canonical, so its copy goes through no entry check
@@ -1009,25 +1028,35 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 class BitBasis:
-    """Incremental GF(2) span tracker over int bitmasks."""
+    """Incremental GF(2) span tracker over int bitmasks: a ``_gf2core``
+    pivot table, grown to fit the longest vector so far, and its rank."""
 
-    __slots__ = ("_piv",)
+    __slots__ = ("_piv", "_rank")
 
     def __init__(self):
-        self._piv = {}
+        self._piv, self._rank = [None], 0
 
     def insert(self, v: int) -> bool:
         """Add a vector; True when it was independent of the span so far."""
-        return _gf2core.insert(self._piv, v) is None
+        return self.insert_prefix([v]) == 1
+
+    def insert_prefix(self, vectors) -> int:
+        """Insert a sequence of vectors in order, up to the first one
+        dependent on the span so far; returns how many went in."""
+        self._piv += [None] * (max(vectors, default=0).bit_length() + 1 - len(self._piv))
+        insert, piv = _gf2core.insert, self._piv
+        count = next((i for i, v in enumerate(vectors) if insert(piv, v) is not None), len(vectors))
+        self._rank += count
+        return count
 
     def copy(self) -> "BitBasis":
         """Independent tracker with the same span."""
         other = BitBasis()
-        other._piv = self._piv.copy()
+        other._piv, other._rank = self._piv.copy(), self._rank
         return other
 
     def __len__(self) -> int:
-        return len(self._piv)
+        return self._rank
 
 
 class VectorBasis:
@@ -1046,6 +1075,11 @@ class VectorBasis:
         v, _ = _native(self._field, vec)
         return _insert(self._piv, v, len(v), self._field.p) is None
 
+    def insert_prefix(self, vectors) -> int:
+        """Insert vectors in order, up to the first one dependent on the
+        span so far; returns how many went in."""
+        return next((i for i, vec in enumerate(vectors) if not self.insert(vec)), len(vectors))
+
     def copy(self) -> "VectorBasis":
         """Independent tracker with the same span (stored vectors are
         never modified, so they are shared)."""
@@ -1058,9 +1092,10 @@ class VectorBasis:
 
 
 def independence_tracker(m: Matrix):
-    """Tracker plus per-column vectors for subset dependence tests."""
+    """Tracker plus per-column vectors for subset dependence tests: over
+    GF(2) the columns of ``Matrix._sparse_top_ints``."""
     if m.field.kind == GF2:
-        return BitBasis, m._column_ints()
+        return BitBasis, m._sparse_top_ints()
     return (lambda: VectorBasis(m.field)), m._column_vectors()[0]
 
 
@@ -1094,12 +1129,8 @@ def first_dependent_subset(m: Matrix, max_size: int, budget: int = DEFAULT_GIRTH
             if tested >= budget:
                 return SubsetSearch("budget", None, tested)
             tested += 1
-            basis = make_basis()
-            for j in combo:
-                if not basis.insert(cols[j]):
-                    return SubsetSearch(
-                        "found", ColumnSet(tuple(c + 1 for c in combo)), tested
-                    )
+            if make_basis().insert_prefix([cols[j] for j in combo]) < k:
+                return SubsetSearch("found", ColumnSet(tuple(c + 1 for c in combo)), tested)
     return SubsetSearch("independent", None, tested)
 
 

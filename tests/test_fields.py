@@ -410,7 +410,7 @@ def test_gf2_echelon_backends_match():
         assert core.rank_packed(rows) == core.rank_packed(cols) == rk
         got_pivots, relations, basis = core.echelon(cols)
         assert got_pivots == pivots
-        assert len(basis) == rk
+        assert sum(v is not None for v in basis) == rk
         free = [j for j in range(ncols) if j not in pivots]
         assert [r.bit_length() - 1 for r in relations] == free
         for f, rel in zip(free, relations):
@@ -447,6 +447,7 @@ def solve_every_column(columns, y):
     """The solve body that eliminates every column, whatever the rank."""
     pivots, _, basis = core.echelon(columns)
     k = len(columns)
+    basis += [None] * y.bit_length()  # room for y's bits above every column's
     x = core.insert(basis, y << k, 1 << k)
     return len(pivots), x is not None, x or 0
 
@@ -470,6 +471,95 @@ def test_solve_stops_at_full_rank_with_the_same_answer():
             assert core.solve_packed(cols, y, nrows) == want, (nrows, ncols)
             full_rank += want[0] == nrows < ncols
     assert full_rank
+
+
+# The dict-keyed kernel that the list pivot table replaced, kept as the
+# reference: the basis is a dict keyed by each vector's bit length.
+
+
+def dict_insert(basis, v, floor=1):
+    while v >= floor:
+        h = v.bit_length()
+        row = basis.get(h)
+        if row is None:
+            basis[h] = v
+            return None
+        v ^= row
+    return v
+
+
+def dict_echelon(columns):
+    k = len(columns)
+    basis, pivots, relations = {}, [], []
+    for j, c in enumerate(columns):
+        rest = dict_insert(basis, (c << k) | (1 << j), 1 << k)
+        if rest is None:
+            pivots.append(j)
+        else:
+            relations.append(rest)
+    return pivots, relations, basis
+
+
+def dict_solve_packed(columns, y, nrows):
+    k = len(columns)
+    basis = {}
+    for j, c in enumerate(columns):
+        if len(basis) == nrows:
+            break
+        dict_insert(basis, (c << k) | (1 << j), 1 << k)
+    rank = len(basis)
+    x = dict_insert(basis, y << k, 1 << k)
+    return rank, x is not None, x or 0
+
+
+def table_entries(table):
+    return {h: v for h, v in enumerate(table) if v is not None}
+
+
+def test_list_table_kernel_matches_dict_reference():
+    # 0 rows, 0 columns, zero columns, repeated columns and random ones;
+    # y zero, random, in the span, and with its top bit above every
+    # column's, the case that sizes the solve's table past the columns
+    rng = random.Random(2323)
+    cases = [(0, []), (0, [0, 0]), (3, []), (5, [0, 0, 0]), (4, [0, 0b1010, 0, 0b1010]), (6, [1] * 7)]
+    for _ in range(300):
+        nrows, ncols = rng.randrange(70), rng.randrange(50)
+        density = rng.choice((0.05, 0.3, 0.7))
+        cols = [sum(1 << i for i in range(nrows) if rng.random() < density) for _ in range(ncols)]
+        if ncols and rng.random() < 0.3:
+            cols[rng.randrange(ncols)] = 0
+        cases.append((nrows, cols))
+    above = 0
+    for nrows, cols in cases:
+        pivots, relations, table = core.echelon(cols)
+        assert (pivots, relations, table_entries(table)) == dict_echelon(cols)
+        ref = {}
+        assert core.rank_packed(cols) == sum(dict_insert(ref, c) is None for c in cols) == len(pivots)
+        span = 0
+        for c in cols:
+            span ^= c * rng.randrange(2)
+        ys = [0, span, rng.getrandbits(nrows) if nrows else 0]
+        top = max(cols, default=0).bit_length()
+        if top < nrows:
+            ys.append(1 << rng.randrange(top, nrows) | rng.getrandbits(top) if top else 1 << rng.randrange(nrows))
+            above += 1
+        for y in ys:
+            assert core.solve_packed(cols, y, nrows) == dict_solve_packed(cols, y, nrows), (nrows, cols, y)
+    assert above > 20
+
+
+def test_list_table_insert_matches_dict_reference_at_every_floor():
+    # tagged vectors inserted with random floors: the same remainders and
+    # the same pivots, on a table sized past the longest vector
+    rng = random.Random(2424)
+    for _ in range(200):
+        bits = rng.randrange(1, 40)
+        table, ref = [None] * (bits + 1), {}
+        for _ in range(rng.randrange(60)):
+            v = rng.getrandbits(rng.randrange(bits + 1))
+            floor = 1 << rng.randrange(bits + 1)
+            assert core.insert(table, v, floor) == dict_insert(ref, v, floor)
+            assert table_entries(table) == ref
 
 
 def test_gf2_kernel_matches_reference():
@@ -1337,3 +1427,96 @@ def test_flags_independent_block_equals_each_lane(lanes):
             got = sum(bool(v) << t for t, v in enumerate(got))
         assert [bool(got >> t & 1) for t in range(lanes)] == want
         assert 0 < got.bit_count() < lanes or lanes == 1
+
+
+def sparse_top_matrices(n):
+    """A check matrix of n columns and a random GF(2) matrix with rows of
+    every weight, both with 2n/5 rows."""
+    rng = np.random.default_rng(n)
+    nrows = 2 * n // 5
+    dense = rng.random((nrows, n)) < rng.random((nrows, 1))
+    return [check_matrix(n, Fraction(1, 2), SelectionSpec.top(nrows)).matrix, Matrix.from_rows(GF2, dense.astype(int).tolist())]
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_sparse_top_ints_are_the_rows_by_weight(n):
+    for m in sparse_top_matrices(n):
+        dense = np.array(m.to_rows(), np.uint8).reshape(m.nrows, n)
+        weight = dense.sum(axis=1, dtype=int).tolist()
+        order = sorted(range(m.nrows), key=lambda i: -weight[i])  # a stable sort
+        assert m._sparse_top_ints() == [_bits_int(dense[order, j]) for j in range(n)]
+        assert len(set(weight)) > 1
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_sparse_top_row_order_changes_no_answer(n):
+    # random sets at rates around the row rate: independence through the
+    # sparse-top ints equals rank_packed on the columns in row order, a
+    # batch insert equals per-vector inserts, and the decoder's statuses
+    # and words equal _solve_columns's, on codewords and on noise
+    rng = np.random.default_rng(n + 1)
+    for m in sparse_top_matrices(n):
+        make_basis, vecs = independence_tracker(m)
+        natural = m._column_ints()
+        verdicts = set()
+        for rate in np.linspace(0.05, 0.7, 14):
+            idx = np.flatnonzero(rng.random(n) < rate).tolist()
+            batch, one = make_basis(), make_basis()
+            count = batch.insert_prefix([vecs[j] for j in idx])
+            assert count == next((i for i, j in enumerate(idx) if not one.insert(vecs[j])), len(idx))
+            assert len(batch) == len(one) == count
+            indep = core.rank_packed([natural[j] for j in idx]) == len(idx)
+            assert (count == len(idx)) == indep == columns_independent(m, ColumnSet.of(j + 1 for j in idx))
+            verdicts.add(indep)
+        assert verdicts == {True, False}
+
+        gen = fields._generator(m)[1]
+        words, flags, want = [], [], []
+        for t, rate in enumerate(np.linspace(0.05, 0.7, 12)):
+            c = 0
+            for g in gen:
+                c ^= g * int(rng.integers(2))
+            y = c if t % 3 else int(_bits_int(rng.integers(0, 2, n).astype(np.uint8)))
+            f = _bits_int((rng.random(n) < rate).astype(np.uint8))
+            idx = [j for j in range(n) if f >> j & 1]
+            rk, ok, x = fields._solve_columns(m, idx, matvec(m, _int_bits(y & ~f, n)))
+            if not ok:
+                want.append(("inconsistent", 0))
+            elif rk < len(idx):
+                want.append(("ambiguous", 0))
+            else:
+                want.append(("decoded", y & ~f | sum(1 << j for i, j in enumerate(idx) if x[i])))
+            words.append(y)
+            flags.append(f)
+        for lanes in (1, 4):
+            for start in range(0, len(want), lanes):
+                block = want[start : start + lanes]
+                size = len(block)
+                y, f = interleaved(words[start : start + size], n), interleaved(flags[start : start + size], n)
+                statuses, got = fields._erasure_decode(m, y, f, size)
+                assert statuses == [status for status, _ in block]
+                assert [lane(got, t, size, n) for t in range(size)] == [word for _, word in block]
+        assert {status for status, _ in want} == {"decoded", "ambiguous", "inconsistent"}
+
+
+@pytest.mark.parametrize("field", (GF2, GF3, RAT), ids=str)
+def test_batch_insert_equals_per_vector_inserts(field):
+    # from empty and from a partly filled tracker, on sets with and
+    # without a dependent vector, repeated and zero vectors included
+    rng = random.Random(2525)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 8), rng.randrange(0, 12)
+        m = Matrix.from_rows(field, random_rows(rng, nrows, ncols, field))
+        make_basis, vecs = independence_tracker(m)
+        batch, one = make_basis(), make_basis()
+        for j in range(rng.randrange(3)):
+            if ncols:
+                v = vecs[rng.randrange(ncols)]
+                assert batch.insert(v) == one.insert(v)
+        idx = [rng.randrange(ncols) for _ in range(rng.randrange(ncols + 1))] if ncols else []
+        seq = [vecs[j] for j in idx]
+        count = batch.insert_prefix(seq)
+        assert count == next((i for i, v in enumerate(seq) if not one.insert(v)), len(seq))
+        assert len(batch) == len(one)
+        rest = [vecs[j] for j in range(ncols)]
+        assert [batch.insert(v) for v in rest] == [one.insert(v) for v in rest]
