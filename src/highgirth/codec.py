@@ -32,7 +32,7 @@ from .channels import ChannelOutput, bhattacharyya_upper
 from .channels import bsc_transmit  # noqa: F401 - perfbench/layers.py wraps it here
 from .channels import mec_transmit  # noqa: F401 - perfbench/layers.py wraps it here
 from ._butterfly import _flag_int, _interleave, _lanes_any, _polar_block
-from ._gf2core import _bits_int, _int_bits, _pack_rows_u8, _rows_packed, _xor_at
+from ._gf2core import _bits_int, _int_bits, _pack_rows_u8, _xor_at
 from .fields import (
     GF2,
     GFP,
@@ -245,7 +245,7 @@ def mec_error_rate(
     frozen = pcm._frozen_rows() if gf2 else None
     thr = threshold_u64(pf)
     kw = k if gf2 else 0  # message words drawn with the flags: q = 2 rejects none
-    lanes = max(1, _LANE_BITS // n)
+    lanes = max(1, _LANE_BITS // max(n, 1))
     failures = dep_events = mismatches = 0
     for start in range(0, trials, lanes):
         size = min(lanes, trials - start)
@@ -487,7 +487,7 @@ def bsc_error_rate(
     _enumerable(code, budget, "crossing-channel simulation")
     _check_run(trials, threads)
     n, k = code.n, code.k
-    gens = _rows_packed(code.gen_ints, n)
+    gens = code.gen.packed
     nw = gens.shape[1]
     # the low table: every sum of the first a generators, within one block
     a = min(k, max(0, (_BLOCK_WORDS // max(nw, 1)).bit_length() - 1))

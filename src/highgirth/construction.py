@@ -360,7 +360,8 @@ def girth_scan(m: Matrix, grid, trials: int, seed: int, threads: int = 1) -> Gir
     dependent prefix in u-order), and a rate's set is independent exactly
     when its size is below tau.  Any field works: the tracker's
     ``insert_prefix`` counts the independent prefix, over GF(2) on the
-    matrix's sparse-top column ints (``Matrix._sparse_top_ints``).
+    matrix's column ints over its rows sorted by weight
+    (``Matrix._column_ints``).
     """
     rates = tuple(parse_probability(g, "grid rate") for g in grid)
     if not rates:

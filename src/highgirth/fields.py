@@ -30,11 +30,12 @@ chosen columns of a matrix, read from the matrix's cached column form
 (Python ints over GF(2), elimination form otherwise), so no caller
 builds a sub-matrix.  ``solve_full`` is the subset of all columns; the
 erasure decoder and minimum-support recovery pass their own subsets.
-GF(2) ``matvec`` reads the same cached column ints, and rational
-``matvec`` the cached scaled columns.  GF(2) questions whose answer does
-not depend on the row order (independence, and the erasure decoder's
-fallback solve) read the columns over the rows sorted by weight instead
-(``Matrix._sparse_top_ints``).
+A GF(2) matrix has one column form, ``Matrix._column_ints``: the
+columns over the rows sorted by weight, the lightest row on the top
+bit, with that row order.  Independence, kernels and solves read it,
+and a solve permutes its right-hand side by the order.  GF(2)
+``matvec`` reads the packed rows, and rational ``matvec`` the cached
+scaled columns.
 
 Rows of the n x n transform T (1 at (i, j) when i & ~j == 0) come from
 one builder, ``_transform_rows``, over every field.  Over GF(2) it
@@ -471,31 +472,23 @@ class Matrix:
 
     # -- internal caches ----------------------------------------------
 
-    def _t_ints(self, rows: np.ndarray) -> list[int]:
-        """The columns of packed ``rows`` of this width (gf2) as ints,
-        bit i = row i, freshly built."""
-        return _row_ints(_pack_rows_u8(_unpack_bits(rows, self.ncols).T))
-
-    def _column_ints(self) -> list[int]:
-        """Columns as nrows-bit integers (gf2). Cached."""
-        ci = self._cache.get("colints")
-        if ci is None:
-            ci = self._cache["colints"] = self._t_ints(self._data)
-        return ci
-
-    def _sparse_top_ints(self) -> list[int]:
-        """Columns as nrows-bit integers (gf2) over the rows sorted by
-        weight, the lightest row on the top bit (ties in row order).
+    def _column_ints(self) -> tuple[np.ndarray, list[int]]:
+        """The columns as nrows-bit integers (gf2) over the rows sorted by
+        weight, with that order: (order, ints), bit i of each int being
+        row order[i], the lightest row on the top bit (ties in row order).
 
         ``_gf2core.insert`` reduces from the top bit down, and a light
         row is set in few columns, so a high pivot is rarely hit.  Rank,
-        independence and the pivot-supported solution do not depend on
-        the row order.  Cached.
+        independence, the kernel relations and the pivot-supported
+        solution do not depend on the row order; a right-hand side is
+        read through ``order``.  Cached.
         """
-        ci = self._cache.get("sparsetop")
+        ci = self._cache.get("colints")
         if ci is None:
             weight = np.bitwise_count(self._data).sum(axis=1, dtype=np.int64)
-            ci = self._cache["sparsetop"] = self._t_ints(self._data[np.argsort(-weight, kind="stable")])
+            order = np.argsort(-weight, kind="stable")
+            ints = _row_ints(_pack_rows_u8(_unpack_bits(self._data[order], self.ncols).T))
+            ci = self._cache["colints"] = (order, ints)
         return ci
 
     def _column_vectors(self) -> tuple[list, list[int]]:
@@ -844,7 +837,7 @@ def _generator(m: Matrix) -> tuple[Matrix, tuple[int, ...] | None]:
     elimination's relations."""
     n = m.ncols
     if m.field.kind == GF2:
-        _, relations, _ = _gf2core.echelon(m._column_ints())
+        _, relations, _ = _gf2core.echelon(m._column_ints()[1])
         return Matrix._new(m.field, len(relations), n, _rows_packed(relations, n)), tuple(relations)
     _, relations = _echelon(m.field, *m._column_vectors(), m.nrows)
     if m.field.kind == GFP:
@@ -858,17 +851,18 @@ def _solve_columns(m: Matrix, idx, y):
     """Solve sum of x[i] * column idx[i] of m = y, free variables zero.
 
     ``idx`` holds 0-based column indices.  The columns are read from m's
-    cache (``_column_ints`` over GF(2), ``_column_vectors`` otherwise),
-    so no sub-matrix is built.  Returns (rank, consistent, x) with x of
-    length len(idx), or None when the system is inconsistent.
+    cache, so no sub-matrix is built: over GF(2) the one column form
+    ``_column_ints``, with y read in its row order, otherwise
+    ``_column_vectors``.  Returns (rank, consistent, x) with x of length
+    len(idx), or None when the system is inconsistent.
     """
     idx = list(idx)
     if m.field.kind == GF2:
         yv = vector(m.field, y)
         if yv.shape[0] != m.nrows:
             raise ValueError("rhs length does not match nrows")
-        cols = m._column_ints()
-        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _bits_int(yv), m.nrows)
+        order, cols = m._column_ints()
+        rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _bits_int(yv[order]), m.nrows)
         return rk, ok, (_int_bits(x, len(idx)) if ok else None)
     return _solve_native(m, idx, *_native(m.field, y))
 
@@ -940,12 +934,13 @@ def _erasure_decode(m: Matrix, y, f: int, lanes: int) -> tuple[list[str], object
 def _fill(m: Matrix, y, idx: list[int]) -> tuple[str, object]:
     """Solve for the coordinates ``idx`` of one received word from its
     syndrome on m's cached columns: over GF(2) with y an int that is zero
-    on idx (``_gf2core.solve_packed`` on ``_sparse_top_ints``), otherwise
+    on idx (``_gf2core.solve_packed`` on the one column form
+    ``_column_ints``, the syndrome summed in its row order), otherwise
     with the idx slots of a copy of y zeroed (``_solve_native``).
     Returns (status, codeword in y's form, or None)."""
     gf2 = m.field.kind == GF2
     if gf2:  # the syndrome is the XOR of the cached columns at y's bits
-        cols = m._sparse_top_ints()
+        cols = m._column_ints()[1]
         rk, ok, x = _gf2core.solve_packed([cols[j] for j in idx], _xor_at(cols, _int_bits(y, m.ncols)), m.nrows)
     else:
         # y is canonical, so its copy goes through no entry check
@@ -998,8 +993,9 @@ def matvec(m: Matrix, x):
 def _matvec(m: Matrix, xv):
     """``matvec`` of a canonical vector of length ncols."""
     if m.field.kind == GF2:
-        # the sum of the cached columns at x's ones
-        return _int_bits(_xor_at(m._column_ints(), xv), m.nrows)
+        # the parity of each packed row's AND with x
+        ones = np.bitwise_count(m._data & _pack_rows_u8(xv[None, :])).sum(axis=1, dtype=np.int64)
+        return (ones & 1).astype(np.uint8)
     if m.field.kind == GFP:
         out = np.zeros(m.nrows, np.int64)
         p = m.field.p
@@ -1093,9 +1089,10 @@ class VectorBasis:
 
 def independence_tracker(m: Matrix):
     """Tracker plus per-column vectors for subset dependence tests: over
-    GF(2) the columns of ``Matrix._sparse_top_ints``."""
+    GF(2) the one column form, ``Matrix._column_ints`` (rows sorted by
+    weight)."""
     if m.field.kind == GF2:
-        return BitBasis, m._sparse_top_ints()
+        return BitBasis, m._column_ints()[1]
     return (lambda: VectorBasis(m.field)), m._column_vectors()[0]
 
 

@@ -964,7 +964,6 @@ def test_sc_node_plan_matches_subset_solve_exhaustive_n8():
         plan = _sc_plan(frozen_mask, n)
         kinds.add(plan[0])
         gen_ints = fields._generator(pcm)[1]
-        cols = pcm._column_ints()
         certified = sc_certified(n, frozen)
         for f in range(1 << n):
             c = 0
@@ -972,11 +971,7 @@ def test_sc_node_plan_matches_subset_solve_exhaustive_n8():
                 c ^= g * rng.randrange(2)
             y = c & ~f
             idx = [j for j in range(n) if f >> j & 1]
-            syn = 0
-            for j in range(n):
-                if y >> j & 1:
-                    syn ^= cols[j]
-            rk, ok, x = fields._solve_columns(pcm, idx, _int_bits(syn, pcm.nrows))
+            rk, ok, x = fields._solve_columns(pcm, idx, matvec(pcm, _int_bits(y, n)))
             assert ok
             want = None
             if rk == len(idx):
@@ -1002,18 +997,14 @@ def test_laned_sc_equals_one_lane_sc_and_subset_solve_exhaustive():
     for n in (1, 2, 4, 8):
         for frozen_mask in range(1 << n):
             pcm = fields._transform_rows(GF2, n, [i for i in range(n) if frozen_mask >> i & 1])
-            gen_ints, cols = fields._generator(pcm)[1], pcm._column_ints()
+            gen_ints = fields._generator(pcm)[1]
             cases = []
             for f in range(1 << n):
                 c = 0
                 for g in gen_ints:
                     c ^= g * rng.randrange(2)
                 idx = [j for j in range(n) if f >> j & 1]
-                syn = 0
-                for j in range(n):
-                    if (c & ~f) >> j & 1:
-                        syn ^= cols[j]
-                rk, ok, x = fields._solve_columns(pcm, idx, _int_bits(syn, pcm.nrows))
+                rk, ok, x = fields._solve_columns(pcm, idx, matvec(pcm, _int_bits(c & ~f, n)))
                 assert ok
                 want = c if rk == len(idx) else None
                 if want is not None:
@@ -1444,20 +1435,26 @@ def test_sparse_top_ints_are_the_rows_by_weight(n):
         dense = np.array(m.to_rows(), np.uint8).reshape(m.nrows, n)
         weight = dense.sum(axis=1, dtype=int).tolist()
         order = sorted(range(m.nrows), key=lambda i: -weight[i])  # a stable sort
-        assert m._sparse_top_ints() == [_bits_int(dense[order, j]) for j in range(n)]
+        got_order, ints = m._column_ints()
+        assert got_order.tolist() == order
+        assert ints == [_bits_int(dense[order, j]) for j in range(n)]
         assert len(set(weight)) > 1
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_sparse_top_row_order_changes_no_answer(n):
-    # random sets at rates around the row rate: independence through the
-    # sparse-top ints equals rank_packed on the columns in row order, a
-    # batch insert equals per-vector inserts, and the decoder's statuses
-    # and words equal _solve_columns's, on codewords and on noise
+    # against the columns in row order, built here from the entries:
+    # random sets at rates around the row rate give the same independence
+    # (rank_packed) through the sparse-top ints, a batch insert equals
+    # per-vector inserts, the kernel relations and solves equal echelon's
+    # and solve_packed's, matvec is the dense product mod 2, and the
+    # decoder's statuses and words equal _solve_columns's, on codewords
+    # and on noise
     rng = np.random.default_rng(n + 1)
     for m in sparse_top_matrices(n):
         make_basis, vecs = independence_tracker(m)
-        natural = m._column_ints()
+        dense = np.array(m.to_rows(), np.uint8).reshape(m.nrows, n)
+        natural = [_bits_int(dense[:, j]) for j in range(n)]
         verdicts = set()
         for rate in np.linspace(0.05, 0.7, 14):
             idx = np.flatnonzero(rng.random(n) < rate).tolist()
@@ -1471,6 +1468,25 @@ def test_sparse_top_row_order_changes_no_answer(n):
         assert verdicts == {True, False}
 
         gen = fields._generator(m)[1]
+        assert list(gen) == core.echelon(natural)[1]
+        for rate in (0.0, 0.1, 0.5, 1.0):
+            x = (rng.random(n) < rate).astype(np.uint8)
+            assert matvec(m, x).tolist() == (dense.astype(int) @ x % 2).tolist()
+        solved = set()
+        for t, rate in enumerate((1.0, 0.9, 0.6, 0.4, 0.2, 0.05)):
+            idx = np.flatnonzero(rng.random(n) < rate).tolist()
+            y = matvec(m, (rng.random(n) < 0.5).astype(np.uint8)) if t % 2 else rng.integers(0, 2, m.nrows).astype(np.uint8)
+            rk, ok, x = core.solve_packed([natural[j] for j in idx], _bits_int(y), m.nrows)
+            got = fields.solve_full(m, y) if len(idx) == n else fields._solve_columns(m, idx, y)
+            assert got[:2] == (rk, ok)
+            if ok:
+                assert got[2].tolist() == _int_bits(x, len(idx)).tolist()
+                assert (dense[:, idx].astype(int) @ got[2] % 2).tolist() == y.tolist()
+            else:
+                assert got[2] is None
+            solved.add(ok)
+        assert solved == {True, False}
+
         words, flags, want = [], [], []
         for t, rate in enumerate(np.linspace(0.05, 0.7, 12)):
             c = 0

@@ -7,7 +7,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from highgirth import (
@@ -184,6 +184,9 @@ COMMANDS = (
 
 @settings(max_examples=250, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(matrix_texts(), sidecar_texts(), st.sampled_from(COMMANDS))
+# 0-column matrices, which read_matrix accepts: every command answers them
+@example(matrix_text="2 0 gf2\n\n\n", sidecar_text=None, command=COMMANDS[0])
+@example(matrix_text="2 0 gfp:3\n\n\n", sidecar_text=None, command=COMMANDS[0])
 def test_cli_exit_codes_on_malformed_files(matrix_text, sidecar_text, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.txt")
