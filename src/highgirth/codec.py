@@ -16,8 +16,9 @@ enumerator is computed by full codeword enumeration (budgeted), the
 union bound uses a certified rational Bhattacharyya bound, and maximum
 likelihood decoding is brute force with a deterministic tie rule.  The
 crossing-channel simulator runs its trials in blocks: one numpy pass
-draws a block's words (``montecarlo._raw_words``) and one popcount pass
-over the packed codewords decides every trial of the block.
+draws a block's words and one popcount pass over the packed codewords
+decides every trial of the block.  Both simulators take their blocks
+from ``montecarlo._blocks``.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ from .fields import (
     vectors_equal,
     zero_vector,
 )
-from .montecarlo import RNG_ID, SubStream, _below, _check_run, _raw_words, threshold_u64, wilson_interval
+from .montecarlo import RNG_ID, _below, _blocks, threshold_u64, wilson_interval
 from .montecarlo import run_trials  # noqa: F401 - perfbench/layers.py wraps it here
 
 __all__ = [
@@ -224,45 +225,37 @@ def mec_error_rate(
     rationals the zero codeword is sent (failure is codeword-independent
     for a linear code).
 
-    Trial t draws from the words of ``SubStream(seed, t)`` in a fixed
-    order: message first (``symbols_mod``, which at q = 2 gives the words
-    and values of ``bits``; nothing over the rationals), then the erasure
-    pattern (``bernoulli_mask``).  Over GF(2) and the rationals a trial
-    takes all its words in one ``raw`` call, column t of the block's
-    (k + n, L) words (n words over the rationals), and the block's
-    message bits and erasure flags are read off the columns in numpy;
-    over GF(p) the message goes through ``symbols_mod``, which rejects.
-    One ``SubStream`` is moved from trial to trial (``next_trial``).
+    A trial's draws are the message (``symbols_mod``; nothing over GF(2)
+    and the rationals), then k message bits over GF(2) and the n words
+    of the erasure pattern (``bernoulli_mask``), in one ``raw`` call; the
+    blocks come from ``montecarlo._blocks`` on a moved stream.
     ``threads`` must be at least 1 and does not change the bytes of the
     report.
     """
     pf = parse_probability(p, "p")
-    _check_run(trials, threads)
-    stream = SubStream(seed, 0)
-
     pcm, n, k, q = code.pcm, code.n, code.k, code.field.order
     gf2 = code.field.kind == GF2
     frozen = pcm._frozen_rows() if gf2 else None
     thr = threshold_u64(pf)
     kw = k if gf2 else 0  # message words drawn with the flags: q = 2 rejects none
-    lanes = max(1, _LANE_BITS // max(n, 1))
+    gfp = q and not gf2
+
+    def draw(stream):
+        return stream.symbols_mod(k, q) if gfp else None, stream.raw(kw + n)
+
     failures = dep_events = mismatches = 0
-    for start in range(0, trials, lanes):
-        size = min(lanes, trials - start)
-        msgs, words = [], np.empty((kw + n, size), np.uint64)
-        for t in range(size):
-            if start + t:
-                stream.next_trial()
-            if q and not gf2:
-                msgs.append(stream.symbols_mod(k, q))
-            words[:, t] = stream.raw(kw + n)
+    for block in _blocks(trials, seed, threads, max(1, _LANE_BITS // max(n, 1)), draw):
+        size = len(block)
+        words = np.empty((kw + n, size), np.uint64)  # column t is trial t's words
+        for t, (_, w) in enumerate(block):
+            words[:, t] = w
         f = _bits_int(_below(words[kw:], thr))
         if frozen is not None:
             sent = _polar_block(frozen, n, words[:k] & np.uint64(1))
         elif gf2:
             sent = _interleave([_xor_at(code.gen_ints, b) for b in (words[:k] & np.uint64(1)).T], n)
-        elif q:
-            sent = [encode(code, msg) for msg in msgs]
+        elif gfp:
+            sent = [encode(code, msg) for msg, _ in block]
         else:
             sent = [zero_vector(code.field, n)] * size
         statuses, decoded = _erasure_decode(pcm, sent, f, size)
@@ -470,22 +463,21 @@ def bsc_error_rate(
     tie is already a coin flip the code lost).  Substream order:
     message, then flips.
 
-    Trials run in blocks.  ``_raw_words`` draws a block's k + n words
-    per trial, the trial of ``SubStream(seed, t)``, and word k + j below
-    ``threshold_u64(p)`` flips bit j.  With flip pattern e the received
-    word is the sent one plus e, so by linearity a trial errs exactly
-    when some nonzero codeword c has |c + e| <= |e|: the message words
-    keep their place in the stream but cannot change the verdict.  One
-    popcount pass compares e against every codeword.  The codewords are
-    the sums of a low table (every sum of the first generators) and one
-    sum of the rest, walked in Gray-code order, and the block is sized
-    so no array holds more than ``_BLOCK_WORDS`` words (beyond those of
-    a single trial).  ``threads`` must be at least 1 and does not change
-    the bytes of the report.
+    Trials run in blocks of ``montecarlo._blocks``, replayed in numpy:
+    k + n words a trial, and word k + j below ``threshold_u64(p)`` flips
+    bit j.  With flip pattern e the received word is the sent one plus
+    e, so by linearity a trial errs exactly when some nonzero codeword c
+    has |c + e| <= |e|: the message words keep their place in the stream
+    but cannot change the verdict.  One popcount pass compares e against
+    every codeword.  The codewords are the sums of a low table (every
+    sum of the first generators) and one sum of the rest, walked in
+    Gray-code order, and the block is sized so no array holds more than
+    ``_BLOCK_WORDS`` words (beyond those of a single trial).
+    ``threads`` must be at least 1 and does not change the bytes of the
+    report.
     """
     pf = parse_probability(p, "p")
     _enumerable(code, budget, "crossing-channel simulation")
-    _check_run(trials, threads)
     n, k = code.n, code.k
     gens = code.gen.packed
     nw = gens.shape[1]
@@ -497,9 +489,8 @@ def bsc_error_rate(
     step = max(1, _BLOCK_WORDS // max(k + n, low.size, 1))
     thr = threshold_u64(pf)
     errors = 0
-    for start in range(0, trials, step):
-        w = _raw_words(seed, start, min(start + step, trials), k + n)[:, k:]
-        e = _pack_rows_u8(_below(w, thr))
+    for w in _blocks(trials, seed, threads, step, k + n):
+        e = _pack_rows_u8(_below(w[:, k:], thr))
         we = _weights(e)[:, None]
         # count the codewords c with |c + e| <= |e|, c = 0 among them
         hits = 0

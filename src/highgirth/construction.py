@@ -8,7 +8,7 @@ applying it to a vector costs n log n field operations via a butterfly,
 one body for every field (``_butterfly._array_transform``).  Its rows
 come from one builder, ``fields._transform_rows``: ``sierpinski`` takes
 all of them, a check matrix takes the selected ones, and
-``read_check_matrix`` checks a sidecar by rebuilding its rows and
+``read_check_matrix`` checks a sidecar by rebuilding its recipe and
 comparing.  ``sierpinski_row`` stays a separate one-row form, so the
 exhaustive oracles below do not share the builder.
 
@@ -39,7 +39,6 @@ from .fields import (
     FieldSpec,
     Matrix,
     VectorBasis,
-    _as_column_set,
     _read_text,
     _transform_rows,
     _write_text,
@@ -158,12 +157,6 @@ class CheckMatrix:
         return self.n - len(self.rows)
 
 
-def _rows_matrix(n: int, picked: ColumnSet, field: FieldSpec) -> Matrix:
-    if field.kind != GF2 and n > DENSE_FIELD_CAP:
-        raise ValueError(f"dense {field} check matrix capped at n={DENSE_FIELD_CAP}")
-    return _transform_rows(field, n, np.array(picked.indices, np.int64) - 1)
-
-
 def check_matrix(
     n: int,
     s,
@@ -183,7 +176,9 @@ def check_matrix(
         picked = select_rows(n, sf, selection)
     else:
         picked = select_rows_fast(n, sf, selection)
-    m = _rows_matrix(n, picked, field)
+    if field.kind != GF2 and n > DENSE_FIELD_CAP:
+        raise ValueError(f"dense {field} check matrix capped at n={DENSE_FIELD_CAP}")
+    m = _transform_rows(field, n, np.array(picked.indices, np.int64) - 1)
     verify = n <= (RANK_VERIFY_CAP if field.kind == GF2 else EXACT_SELECTION_CAP)
     if verify and rank(m) != len(picked):
         raise AssertionError("selected rows lost rank; construction is broken")
@@ -420,9 +415,10 @@ def write_check_matrix(cm: CheckMatrix, path: str) -> None:
 def read_check_matrix(path: str) -> CheckMatrix:
     """Load a matrix and its sidecar recipe, checked against each other.
 
-    The sidecar's rows are rebuilt from the transform and must equal the
-    matrix, so nothing derived from them (the Bhattacharyya bound, say)
-    rests on the file's word alone.
+    The sidecar's recipe (n, s, selection) is rebuilt with
+    ``check_matrix`` and must give both its rows H and the matrix, so
+    nothing derived from them (the Bhattacharyya bound, the selection a
+    report names) rests on the file's word alone.
     """
     m = read_matrix(path)
     meta = json.loads(_read_text(path + ".json"))
@@ -433,12 +429,11 @@ def read_check_matrix(path: str) -> CheckMatrix:
         raise ValueError(
             f"sidecar {path}.json needs n, s, selection and H ({type(exc).__name__}: {exc})"
         ) from None
-    if type(n) is not int or type(s) not in (int, str) or type(h) is not list:
-        raise ValueError(f"sidecar {path}.json: n must be an int, s a string, H a list")
+    if type(n) is not int or type(s) not in (int, str) or type(h) is not list or {type(i) for i in h} - {int}:
+        raise ValueError(f"sidecar {path}.json: n must be an int, s a string, H a list of ints")
     if n != m.ncols:
         raise ValueError(f"sidecar n={n} does not match the matrix's {m.ncols} columns")
-    rows = _as_column_set(ColumnSet(tuple(h)), n, "sidecar H")
-    _levels(n)
-    if _rows_matrix(n, rows, m.field) != m:
-        raise ValueError("sidecar rows H do not rebuild the matrix")
-    return CheckMatrix(n, parse_probability(s, "s"), selection, rows, m)
+    cm = check_matrix(n, s, selection, m.field)
+    if list(cm.rows.indices) != h or cm.matrix != m:
+        raise ValueError(f"sidecar {path}.json: its recipe does not rebuild H and the matrix")
+    return cm

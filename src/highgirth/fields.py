@@ -1213,8 +1213,8 @@ def write_matrix(m: Matrix, target) -> None:
 
 
 def read_matrix(source) -> Matrix:
-    text = _read_text(source)
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    text = _read_text(source).splitlines()
+    lines = [(i, ln) for i, ln in enumerate(text, 1) if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
     head = lines[0][1].split()
@@ -1228,8 +1228,8 @@ def read_matrix(source) -> Matrix:
         raise ValueError("dimensions must be nonnegative")
     field = FieldSpec.parse(head[2])
     body = lines[1:]
-    if not ncols and not body:
-        body = [(0, "")] * nrows  # rows without entries are blank lines
+    if not ncols and not body:  # rows without entries are the blank lines after the header
+        body = [(0, "")] * min(nrows, len(text) - lines[0][0])
     if len(body) != nrows:
         raise ValueError(f"expected {nrows} rows, found {len(body)}")
     q = field.order

@@ -339,6 +339,9 @@ def test_sidecar_must_rebuild_matrix(pcm16_top8):
         lambda meta: meta.update(selection={"mode": "top", "count": 3.7}),
         lambda meta: meta.update(selection={"mode": "top", "count": True}),
         lambda meta: meta.update(selection={"mode": "top", "count": "3"}),
+        lambda meta: meta.update(H=[1, 2, 3, 4, 5, 6, 7, 9.0]),
+        # H and the matrix kept, but a recipe that builds neither
+        lambda meta: meta.update(s="1/7", selection={"mode": "top", "count": 5}),
     ],
 )
 def test_sidecar_fields_checked(pcm16_top8, edit):

@@ -23,7 +23,7 @@ from highgirth import (
     support_failure_rate,
     wilson_interval,
 )
-from highgirth.montecarlo import _raw_words
+from highgirth.montecarlo import _blocks, _raw_words
 
 F = Fraction
 
@@ -72,6 +72,13 @@ def test_raw_words_match_substreams(seed):
                 assert np.array_equal(words[t], SubStream(seed, t).raw(nwords)), (nwords, t)
     # a block that starts past trial 0 holds those trials' words
     assert np.array_equal(_raw_words(seed, 598, 600, 21), _raw_words(seed, 0, 600, 21)[598:])
+    # the runner's replay: consecutive blocks of at most size trials, in
+    # order, row t holding SubStream(seed, t)'s words
+    want = [SubStream(seed, t).raw(21).tolist() for t in range(13)]
+    for size in (1, 3, 12, 13, 14):
+        blocks = list(_blocks(13, seed, 1, size, 21))
+        assert [len(b) for b in blocks] == [min(size, 13 - s) for s in range(0, 13, size)]
+        assert np.concatenate(blocks).tolist() == want, size
 
 
 def test_raw_words_validate_inputs():
@@ -195,6 +202,13 @@ def test_run_trials_runs_in_order_on_the_calling_thread():
             run_trials(5, trial, seed=3, threads=bad)
         with pytest.raises(ValueError):
             run_trials(bad, trial, seed=3)
+        # the runner refuses a bad run before its first draw, from either source
+        for draw in (trial, 1):
+            with pytest.raises(ValueError):
+                next(_blocks(bad, 3, 1, 5, draw))
+            with pytest.raises(ValueError):
+                next(_blocks(5, 3, bad, 5, draw))
+    assert len(seen) == 80
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -215,8 +229,17 @@ def test_run_trials_moves_one_stream_through_fresh_substreams(seed):
         streams.append(stream)
         return draws(stream, len(streams) - 1)
 
-    assert run_trials(12, trial, seed) == [draws(SubStream(seed, t), t) for t in range(12)]
+    want = [draws(SubStream(seed, t), t) for t in range(12)]
+    assert run_trials(12, trial, seed) == want
     assert len(set(map(id, streams))) == 1
+    # the runner's moved stream: consecutive blocks of at most size trials,
+    # in order, all on the one stream
+    for size in (1, 3, 11, 12, 13):
+        streams.clear()
+        blocks = list(_blocks(12, seed, 1, size, trial))
+        assert [len(b) for b in blocks] == [min(size, 12 - s) for s in range(0, 12, size)]
+        assert sum(blocks, []) == want, size
+        assert len(set(map(id, streams))) == 1
 
 
 def _run_with(name, trials, threads):

@@ -187,6 +187,8 @@ COMMANDS = (
 # 0-column matrices, which read_matrix accepts: every command answers them
 @example(matrix_text="2 0 gf2\n\n\n", sidecar_text=None, command=COMMANDS[0])
 @example(matrix_text="2 0 gfp:3\n\n\n", sidecar_text=None, command=COMMANDS[0])
+# a 0-column header whose row count the file does not hold
+@example(matrix_text="1000000000000000 0 gf2\n", sidecar_text=None, command=COMMANDS[3])
 def test_cli_exit_codes_on_malformed_files(matrix_text, sidecar_text, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.txt")
