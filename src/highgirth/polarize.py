@@ -104,9 +104,11 @@ def _profile_numerators(n: int, s) -> tuple[list[int], int]:
     s = parse_probability(s, "s")
     nums, den = [s.numerator], s.denominator
     for _ in range(levels):
-        # a/D -> (2aD - a**2)/D**2 and a**2/D**2
-        nums = [c for a in nums for c in (a * (2 * den - a), a * a)]
-        den *= den
+        # a/D -> (2aD - a**2)/D**2 and a**2/D**2, where 2aD - a**2 is
+        # D**2 - (D - a)**2: two squarings, which cost less than the product
+        sq = den * den
+        nums = [c for a in nums for b in (den - a,) for c in (sq - b * b, a * a)]
+        den = sq
     return nums, den
 
 
