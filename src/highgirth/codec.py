@@ -464,11 +464,13 @@ def bsc_error_rate(
     message, then flips.
 
     Trials run in blocks of ``montecarlo._blocks``, replayed in numpy:
-    k + n words a trial, and word k + j below ``threshold_u64(p)`` flips
-    bit j.  With flip pattern e the received word is the sent one plus
-    e, so by linearity a trial errs exactly when some nonzero codeword c
-    has |c + e| <= |e|: the message words keep their place in the stream
-    but cannot change the verdict.  One popcount pass compares e against
+    word k + j of a trial's substream flips bit j when it is below
+    ``threshold_u64(p)``.  With flip pattern e the received word is the
+    sent one plus e, so by linearity a trial errs exactly when some
+    nonzero codeword c has |c + e| <= |e|: the message words keep their
+    place in the stream but cannot change the verdict, so the replay
+    skips them (it asks for words k to k + n - 1 only) instead of
+    drawing and discarding them.  One popcount pass compares e against
     every codeword.  The codewords are the sums of a low table (every
     sum of the first generators) and one sum of the rest, walked in
     Gray-code order, and the block is sized so no array holds more than
@@ -489,8 +491,8 @@ def bsc_error_rate(
     step = max(1, _BLOCK_WORDS // max(k + n, low.size, 1))
     thr = threshold_u64(pf)
     errors = 0
-    for w in _blocks(trials, seed, threads, step, k + n):
-        e = _pack_rows_u8(_below(w[:, k:], thr))
+    for w in _blocks(trials, seed, threads, step, range(k, k + n)):
+        e = _pack_rows_u8(_below(w, thr))
         we = _weights(e)[:, None]
         # count the codewords c with |c + e| <= |e|, c = 0 among them
         hits = 0

@@ -9,14 +9,17 @@ checks the run, cuts ``range(trials)`` into consecutive blocks and
 yields each block's draws, so a simulator keeps only its block body.
 The draws have two sources, with the same words.  A draw function runs
 on one ``SubStream`` moved along the trials (``next_trial``), at a
-fixed 5 us or so a trial: it wins from about a hundred words a trial (a
-girth-scan or erasure trial) and serves draws that reject.  A word
-count is replayed in numpy (``_raw_words``, Philox4x64-10 on arrays, one
-lane per trial and counter block), at about 0.05 us a word: it wins at
-a few dozen words (a crossing-channel trial).  On a 2-core Xeon with
-Python 3.11 and numpy 2.4, a trial costs 1.6 against 5.4 us at 21
-words, 14 against 7.5 at 256 and 79 against 17 at 1434.  ``run_trials``
-is the one-block case of a moved stream.
+fixed 3 to 6 us a trial: it wins from a hundred or so words a
+trial (a girth-scan or erasure trial) and serves draws that reject.  A
+range of word indices is replayed in numpy (``_raw_words``,
+Philox4x64-10 on arrays, one lane per trial and counter block), at
+about 0.04 us a word in a 512-trial block: it wins at a few dozen words
+(a crossing-channel trial), and computes only the blocks that hold the
+range.  On a 2-core Xeon with Python 3.11 and numpy 2.4, a trial costs
+1.0 against 3.2 us at 21 words in 512-trial blocks, 36 against 5.6 at
+256 in 8-trial blocks (girth-scan-256's) and 92 against 11 at 1434 in
+4-trial blocks (erasure-1024's), so each simulator keeps its source.
+``run_trials`` is the one-block case of a moved stream.
 """
 from __future__ import annotations
 
@@ -72,39 +75,52 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit halves of the products a * m, a uint64 array.
 
     numpy has no 128-bit product, so the high half is summed from the
-    32-bit limb products, each of which fits in 64 bits.
+    32-bit limb products (Hacker's Delight ``mulhu``): with a = a1 2^32 + a0
+    and m = m1 2^32 + m0, mid = a1 m0 + (a0 m0 >> 32) and the high half is
+    a1 m1 + (mid >> 32) + ((a0 m1 + (mid & 0xFFFFFFFF)) >> 32).  Each inner
+    sum is at most (2^32 - 1)^2 + 2^32 - 1 = 2^64 - 2^32, so none wraps.
     """
     a0, a1 = a & _LOW32, a >> _SHIFT32
     m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    p01, p10 = a0 * m1, a1 * m0
-    mid = (a0 * m0 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
-    hi = a1 * m1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    mid = a1 * m0 + (a0 * m0 >> _SHIFT32)
+    hi = a1 * m1 + (mid >> _SHIFT32) + ((a0 * m1 + (mid & _LOW32)) >> _SHIFT32)
     return hi, a * np.uint64(m)
 
 
-def _raw_words(seed: int, start: int, stop: int, nwords: int) -> np.ndarray:
-    """(stop - start, nwords) uint64 words; row i is
-    ``SubStream(seed, start + i).raw(nwords)``.
+def _raw_words(seed: int, start: int, stop: int, words) -> np.ndarray:
+    """(stop - start, len(words)) uint64 words; row i holds the words at
+    the indices ``words`` (a range of step 1 from a nonnegative start, or
+    an int w for range(w)) of trial start + i, so with an int w it is
+    ``SubStream(seed, start + i).raw(w)``.
 
     Philox4x64-10 with key (seed, 0) on the counters (j, 0, t, 0), where
     block j = 1, 2, ... gives words 4(j - 1) to 4j - 1 of trial t (numpy
-    steps the counter before each block).
+    steps the counter before each block).  Only the blocks that cover
+    ``words`` are computed.  The counters start as a row of blocks and a
+    column of trials, so rounds 1 and 2 multiply trials + blocks words,
+    not trials * blocks: only round 2's XORs broadcast to the full shape.
     """
     _check_seed(seed)
     if start < 0:
         raise ValueError("trial index must be nonnegative")
-    blocks = -(-nwords // 4)
-    shape = (stop - start, blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c2 = np.broadcast_to(np.arange(start, stop, dtype=np.uint64)[:, None], shape)
-    c1 = c3 = np.zeros(shape, np.uint64)
+    if not isinstance(words, range):
+        words = range(words)
+    if words.step != 1 or words.start < 0:
+        raise ValueError("words must be a range of step 1 from a nonnegative start")
+    b0 = words.start // 4
+    b1 = -(-words.stop // 4) if len(words) else b0
+    c0 = np.arange(b0 + 1, b1 + 1, dtype=np.uint64)[None, :]
+    c2 = np.arange(start, stop, dtype=np.uint64)[:, None]
+    c1 = c3 = np.uint64(0)
     for r in range(10):
         k0 = np.uint64((seed + r * _PHILOX_W[0]) % _WORD)
         k1 = np.uint64(r * _PHILOX_W[1] % _WORD)
         hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
         hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), -1).reshape(shape[0], 4 * blocks)[:, :nwords]
+    skip = words.start % 4
+    out = np.stack((c0, c1, c2, c3), -1).reshape(c2.shape[0], 4 * (b1 - b0))
+    return out[:, skip : skip + len(words)]
 
 
 class SubStream:
@@ -221,7 +237,8 @@ def _blocks(trials: int, seed: int, threads: int, size: int, draw):
     of at most ``size`` trials, trial t drawing exactly the words of
     ``SubStream(seed, t)``: for a callable ``draw``, the list of
     draw(stream) on one moved stream, valid only during that call; for a
-    word count ``draw``, the (trials, draw) array of ``_raw_words``.
+    range of word indices (or a word count w, for range(w)) ``draw``, the
+    (block trials, len(draw)) array of those words from ``_raw_words``.
     ``trials`` and ``threads`` must each be at least 1; ``threads``
     changes neither the draws nor the speed, and is kept so callers and
     the ``--threads`` option keep working.

@@ -23,7 +23,7 @@ from highgirth import (
     support_failure_rate,
     wilson_interval,
 )
-from highgirth.montecarlo import _blocks, _raw_words
+from highgirth.montecarlo import _PHILOX_M, _blocks, _mulhilo, _raw_words
 
 F = Fraction
 
@@ -79,6 +79,45 @@ def test_raw_words_match_substreams(seed):
         blocks = list(_blocks(13, seed, 1, size, 21))
         assert [len(b) for b in blocks] == [min(size, 13 - s) for s in range(0, 13, size)]
         assert np.concatenate(blocks).tolist() == want, size
+
+
+@pytest.mark.parametrize("first", [0, 7, 1 << 32, (1 << 63) - 5])
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_raw_word_ranges_match_substreams(seed, first):
+    # first >= 2**32 puts a nonzero high half in the trial counter from round 1 on
+    trials = 3
+    full = [SubStream(seed, first + i).raw(24) for i in range(trials)]
+    for a in (0, 1, 3, 4, 5):
+        for b in (a + 1, a + 2, 7, 10, 21, 23):
+            if b <= a or b % 4 == 0:
+                continue
+            words = _raw_words(seed, first, first + trials, range(a, b))
+            assert words.shape == (trials, b - a) and words.dtype == np.uint64
+            for i in range(trials):
+                assert np.array_equal(words[i], full[i][a:b]), (a, b, i)
+    for empty in (range(0), range(5, 5), range(7, 3)):
+        assert _raw_words(seed, first, first + trials, empty).shape == (trials, 0)
+    # the runner replays a range draw block by block, from trial 0
+    want = [SubStream(seed, t).raw(21)[5:].tolist() for t in range(trials)]
+    for size in (1, 2, 3, 4):
+        blocks = list(_blocks(trials, seed, 1, size, range(5, 21)))
+        assert [len(b) for b in blocks] == [min(size, trials - s) for s in range(0, trials, size)]
+        assert np.concatenate(blocks).tolist() == want, size
+
+
+def test_raw_word_ranges_validate_inputs():
+    for bad in (range(0, 8, 2), range(8, 0, -1), range(-1, 4)):
+        with pytest.raises(ValueError):
+            _raw_words(0, 0, 1, bad)
+
+
+@pytest.mark.parametrize("m", _PHILOX_M)
+def test_mulhilo_is_the_128_bit_product(m):
+    edge = [0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, (1 << 64) - 1]
+    a = np.concatenate((np.array(edge, np.uint64), SubStream(m, 0).raw(1000)))
+    hi, lo = _mulhilo(a, m)
+    for x, h, l in zip(a.tolist(), hi.tolist(), lo.tolist()):
+        assert (h, l) == divmod(x * m, 1 << 64), x
 
 
 def test_raw_words_validate_inputs():
