@@ -21,6 +21,12 @@ step that the interval is widened to cover.  This keeps relative
 precision where absolute precision runs out.  Only leaves whose interval
 straddles the decision (or whose side is undecided near 1/2) are
 recomputed exactly, so fast selection agrees with exact selection.
+
+Every exact leaf set, whether the whole profile, one leaf, fast
+selection's unsure leaves or a Bhattacharyya sum's selected rows, comes
+from one walk down the tree (``_leaf_numerators``).  Level by level it
+computes only the ancestors of the requested leaves, each node once with
+one squaring, so leaves that share a prefix share its products.
 """
 from __future__ import annotations
 
@@ -94,21 +100,47 @@ def _coprime_fraction_maker():
 _leaf_fraction = _coprime_fraction_maker()
 
 
-def _profile_numerators(n: int, s) -> tuple[list[int], int]:
-    """(nums, den): the exact profile of s is nums[j]/den, leaf j 0-based.
+def _leaf_numerators(n: int, s, leaves) -> tuple[list[int], int]:
+    """(nums, den): the exact profile of s at 0-based leaf leaves[t] is
+    nums[t]/den, for distinct leaves in ascending order.
 
     Every leaf shares den = b**n for s = a/b, so comparing numerators
-    compares leaves.
+    compares leaves.  The walk goes down the tree one level at a time and
+    computes only the ancestors of the requested leaves, each node once
+    with one squaring: a/D -> (2aD - a**2)/D**2 and a**2/D**2, where
+    2aD - a**2 is D**2 - (D - a)**2, and a squaring costs less than the
+    product.  Leaves that share a prefix share its products.  Every level above the deepest one whose nodes are all
+    wanted (all of them when every leaf is) is a full level, taken in one
+    paired comprehension with no bookkeeping.
     """
     levels = _levels(n)
     s = parse_probability(s, "s")
+    if not leaves:
+        return [], s.denominator**n
+    # wanted[k]: the ancestors at depth levels - k, ascending; stops at the
+    # first depth where every node is wanted (the root at the latest)
+    wanted = [leaves]
+    while len(wanted[-1]) < 1 << (levels + 1 - len(wanted)):
+        wanted.append(list(dict.fromkeys(c >> 1 for c in wanted[-1])))
     nums, den = [s.numerator], s.denominator
-    for _ in range(levels):
-        # a/D -> (2aD - a**2)/D**2 and a**2/D**2, where 2aD - a**2 is
-        # D**2 - (D - a)**2: two squarings, which cost less than the product
+    for _ in range(levels + 1 - len(wanted)):
         sq = den * den
         nums = [c for a in nums for b in (den - a,) for c in (sq - b * b, a * a)]
         den = sq
+    for want in reversed(wanted[:-1]):
+        sq = den * den
+        # the parents of ``want`` are nums, in order: step to the next one
+        # each time the parent index changes
+        out, parent, vals = [], -1, iter(nums)
+        for c in want:
+            if c >> 1 != parent:
+                parent, a = c >> 1, next(vals)
+            if c & 1:
+                out.append(a * a)
+            else:
+                b = den - a
+                out.append(sq - b * b)
+        nums, den = out, sq
     return nums, den
 
 
@@ -118,7 +150,7 @@ def rank_profile(n: int, s) -> tuple[Fraction, ...]:
     Leaf order: the binary expansion of the 0-based index, most
     significant bit first, spells the branch path (0 = ell, 1 = rr).
     """
-    nums, den = _profile_numerators(n, s)
+    nums, den = _leaf_numerators(n, s, range(n))
     # pop from the back so each numerator is freed once its Fraction exists
     nums.reverse()
     return tuple(_leaf_fraction(nums.pop(), den) for _ in range(len(nums)))
@@ -137,24 +169,13 @@ def rank_profile_float(n: int, s) -> np.ndarray:
     return v
 
 
-def _leaf_numerator(n: int, i: int, s) -> tuple[int, int]:
-    """(a, den): the profile value at 1-based leaf i is a/den, with the
-    same den for every leaf (see _profile_numerators)."""
-    levels = _levels(n)
+def profile_leaf(n: int, i: int, s) -> Fraction:
+    """Exact profile value at 1-based leaf i, without the other leaves:
+    the one-leaf walk, one root-to-leaf chain of squarings."""
     if not 1 <= i <= n:
         raise ValueError(f"leaf index {i} out of range for n={n}")
-    x = parse_probability(s, "s")
-    a, den = x.numerator, x.denominator
-    j = i - 1
-    for b in range(levels - 1, -1, -1):
-        a = a * a if (j >> b) & 1 else a * (2 * den - a)
-        den *= den
-    return a, den
-
-
-def profile_leaf(n: int, i: int, s) -> Fraction:
-    """Exact profile value at 1-based leaf i, without the other leaves."""
-    return _leaf_fraction(*_leaf_numerator(n, i, s))
+    (a,), den = _leaf_numerators(n, s, [i - 1])
+    return _leaf_fraction(a, den)
 
 
 def _above(a: int, den: int, t: Fraction) -> bool:
@@ -323,7 +344,7 @@ def select_rows(n: int, s, spec: SelectionSpec) -> ColumnSet:
     denominator, and against a threshold by cross-multiplication.
     """
     spec = spec.resolve(n)
-    nums, den = _profile_numerators(n, s)
+    nums, den = _leaf_numerators(n, s, range(n))
     if spec.mode == "threshold":
         t = spec.threshold
         return ColumnSet(tuple(j + 1 for j, a in enumerate(nums) if _above(a, den, t)))
@@ -421,10 +442,11 @@ def select_rows_fast(n: int, s, spec: SelectionSpec) -> ColumnSet:
     whose tail may reach 1/2, so that its side is undecided, gets an
     unbounded one.  Leaves whose interval lies wholly above the cut are
     taken, wholly below are dropped, and the rest are recomputed exactly
-    with _leaf_numerator, so the result matches the exact selection.  In
-    top mode the cut runs from the m-th largest lower end to the
-    (m+1)-th largest upper end: a leaf above the latter beats n - m
-    others, and one below the former is beaten by m others.
+    in one walk of the profile tree (_leaf_numerators), which computes
+    the prefixes they share once, so the result matches the exact
+    selection.  In top mode the cut runs from the m-th largest lower end
+    to the (m+1)-th largest upper end: a leaf above the latter beats
+    n - m others, and one below the former is beaten by m others.
     """
     spec = spec.resolve(n)
     sf = parse_probability(s, "s")
@@ -446,11 +468,12 @@ def select_rows_fast(n: int, s, spec: SelectionSpec) -> ColumnSet:
     unsure = np.flatnonzero(~sure & (khi >= cut_lo)).tolist()
     # numerators only: the leaves share one denominator, and a Fraction's
     # gcd would cost far more than the numerator at large n
-    exact = {j: _leaf_numerator(n, j + 1, sf) for j in unsure}
+    nums, den = _leaf_numerators(n, sf, unsure)
     if spec.mode == "threshold":
-        extra = [j for j in unsure if _above(*exact[j], t)]
+        extra = [j for j, a in zip(unsure, nums) if _above(a, den, t)]
     else:
-        extra = sorted(unsure, key=lambda j: (-exact[j][0], j))[: m - int(sure.sum())]
+        exact = dict(zip(unsure, nums))
+        extra = sorted(unsure, key=lambda j: (-exact[j], j))[: m - int(sure.sum())]
     picked = np.flatnonzero(sure).tolist() + extra
     return ColumnSet(tuple(sorted(j + 1 for j in picked)))
 
@@ -487,14 +510,15 @@ def bhattacharyya_sum(n: int, z0, rows: ColumnSet) -> Fraction:
     Upper-bounds the decoding failure probability of the code whose
     checks are the selected rows; can exceed 1 (clamp for reporting).
     Uses the martingale identity: total mass is n * z0, so only the
-    selected leaves need exact evaluation.  Every leaf shares the
-    denominator of z0 to the n-th power, so their numerators are summed
-    and one Fraction is built.
+    selected leaves need exact evaluation, all of them in one walk of the
+    profile tree (_leaf_numerators) that computes each shared prefix
+    once.  Every leaf shares the denominator of z0 to the n-th power, so
+    their numerators are summed and one Fraction is built.
     """
     z = parse_probability(z0, "z0")
     rows = _as_column_set(rows, n, "rows")
-    picked = sum(_leaf_numerator(n, i, z)[0] for i in rows)
-    return n * z - Fraction(picked, z.denominator**n)
+    nums, den = _leaf_numerators(n, z, rows.zero_based())
+    return n * z - Fraction(sum(nums), den)
 
 
 # ---------------------------------------------------------------------------

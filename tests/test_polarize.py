@@ -13,6 +13,7 @@ from highgirth import (
     ColumnSet,
     SelectionSpec,
     bhattacharyya_sum,
+    bhattacharyya_upper,
     compute_profile,
     default_threshold,
     default_threshold_exponent,
@@ -294,7 +295,7 @@ def test_selection_matches_fraction_reference():
 def test_leaf_numerator_shares_the_denominator():
     for n, s in ((1, F(2, 3)), (8, F(2, 5)), (64, F(1, 2)), (32, F(6, 9))):
         for i in range(1, n + 1):
-            a, den = polarize._leaf_numerator(n, i, s)
+            (a,), den = polarize._leaf_numerators(n, s, [i - 1])
             assert den == s.denominator ** n
             assert F(a, den) == profile_leaf(n, i, s) == rank_profile(n, s)[i - 1]
 
@@ -304,7 +305,7 @@ def test_exact_leaves_are_in_lowest_terms(monkeypatch):
     rates = (F(0), F(1), F(1, 2), F(2, 5), F(1, 6), F(3, 10), F(5, 12))
     for n in (1, 2, 4, 16, 128, 1024):
         for s in rates:
-            nums, den = polarize._profile_numerators(n, s)
+            nums, den = polarize._leaf_numerators(n, s, range(n))
             prof = rank_profile(n, s)
             for leaf, a in zip(prof, nums):
                 want = F(a, den)
@@ -323,17 +324,44 @@ def test_fast_selection_exact_leaf_count(monkeypatch):
     # the paper's threshold at n = 8192 sits far below float64's absolute
     # resolution; the log-domain enclosure still decides almost every leaf
     calls = []
-    leaf = polarize._leaf_numerator
+    walk = polarize._leaf_numerators
 
-    def counting(n, i, s):
-        calls.append(i)
-        return leaf(n, i, s)
+    def counting(n, s, leaves):
+        calls.append(len(leaves))
+        return walk(n, s, leaves)
 
-    monkeypatch.setattr(polarize, "_leaf_numerator", counting)
+    monkeypatch.setattr(polarize, "_leaf_numerators", counting)
     for s, kept in ((F(1, 2), 1687), (F(2, 5), 1145)):
         calls.clear()
         assert len(select_rows_fast(8192, s, SelectionSpec.auto())) == kept
-        assert len(calls) <= 4, (s, len(calls))
+        # every unsure leaf goes through one walk
+        assert len(calls) == 1 and calls[0] <= 4, (s, calls)
+
+
+def test_leaf_walk_matches_the_profile():
+    # the pruned walk against the full profile, on leaf sets that exercise
+    # a lone chain, a shared parent, sparse prefixes and full levels
+    rng = random.Random(27)
+    rates = (F(0), F(1), F(1, 2), F(2, 5), F(5, 12), bhattacharyya_upper(F(1, 20)))
+    for n in (1, 2, 16, 256, 1024):
+        for s in rates:
+            prof = rank_profile(n, s)
+            den = s.denominator**n
+            pair = 2 * rng.randrange(n // 2) if n > 1 else 0
+            sets = (
+                [],
+                [rng.randrange(n)],
+                sorted({pair, min(pair + 1, n - 1)}),
+                sorted(rng.sample(range(n), max(1, n // 3))),
+                list(range(n)),
+            )
+            for leaves in sets:
+                nums, got_den = polarize._leaf_numerators(n, s, leaves)
+                assert got_den == den, (n, s)
+                want = [prof[j].numerator * (den // prof[j].denominator) for j in leaves]
+                assert nums == want, (n, s, len(leaves))
+    # one level and no leaves: the root is not a requested leaf
+    assert polarize._leaf_numerators(1, F(2, 5), []) == ([], 5)
 
 
 def test_selection_spec_parse_roundtrip():
@@ -434,6 +462,12 @@ def test_bhattacharyya_sum_equals_per_leaf_fraction_sum():
             for rows in (ColumnSet.empty(), picked, ColumnSet.full(n)):
                 want = n * z - sum((profile_leaf(n, i, z) for i in rows), F(0))
                 assert bhattacharyya_sum(n, z, rows) == want, (n, z, len(rows))
+    # the crossing channel's z0, with its 65-bit denominator
+    z = bhattacharyya_upper(F(1, 20))
+    assert z.denominator.bit_length() == 65
+    rows = select_rows_fast(256, z, SelectionSpec.top(128))
+    want = 256 * z - sum((profile_leaf(256, i, z) for i in rows), F(0))
+    assert bhattacharyya_sum(256, z, rows) == want
 
 
 # ---------------------------------------------------------------- csv io
