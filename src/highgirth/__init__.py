@@ -64,7 +64,6 @@ from .fields import (
     exact_girth,
     first_dependent_subset,
     kernel,
-    matmul,
     matvec,
     parse_probability,
     rank,
@@ -77,10 +76,8 @@ from .fields import (
 )
 from .montecarlo import RNG_ID, SubStream, TrialReport, run_trials, wilson_interval
 from .polarize import (
-    RankProfile,
     SelectionSpec,
     bhattacharyya_sum,
-    compute_profile,
     default_threshold,
     default_threshold_exponent,
     ell,

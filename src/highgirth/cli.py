@@ -47,9 +47,9 @@ from .fields import (
 )
 from .polarize import (
     SelectionSpec,
-    compute_profile,
     polarization_fractions,
     rank_profile,
+    rank_profile_float,
     write_profile_csv,
 )
 from .sparse import l0_recover, spark_certificate
@@ -86,10 +86,10 @@ def _cmd_profile(args) -> int:
         exact = True
     else:
         exact = n <= EXACT_PROFILE_DEFAULT_CAP
-    prof = compute_profile(n, args.s, exact=exact)
-    write_profile_csv(prof.values, prof.exact, args.out or sys.stdout)
+    values = rank_profile(n, args.s) if exact else rank_profile_float(n, args.s)
+    write_profile_csv(values, exact, args.out or sys.stdout)
     if args.delta is not None:
-        lo, mid, hi = polarization_fractions(prof.values, args.delta)
+        lo, mid, hi = polarization_fractions(values, args.delta)
         sys.stderr.write(
             f"fractions at delta={args.delta}: low={lo} ({float(lo):.6g}) "
             f"mid={mid} ({float(mid):.6g}) high={hi} ({float(hi):.6g})\n"

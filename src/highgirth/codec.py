@@ -376,6 +376,8 @@ def channel_bounds(
     """
     from .polarize import bhattacharyya_sum
 
+    if channel not in ("bsc", "mec"):
+        raise ValueError(f"unknown channel {channel!r}: use 'bsc' or 'mec'")
     pf = parse_probability(p, "p")
     union = None
     if code.field.kind == GF2 and (1 << code.k) <= budget:

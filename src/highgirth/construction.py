@@ -238,48 +238,43 @@ def expected_rank_oracle(n: int, i: int, s, field: FieldSpec = FieldSpec.gf2()) 
     consecutive differences in i are the independent check of the
     profile values.
     """
-    _levels(n)
-    if n > 12:
-        raise EnumerationBudget(f"2**{n} subsets exceed the enumeration budget")
     if not 0 <= i <= n:
         raise ValueError(f"row count {i} out of range for n={n}")
-    if i == 0:
-        return Fraction(0)
-    sf = parse_probability(s, "s")
-    inc = _subset_increments(n, sf, field)
     # per subset, rank of the first i rows telescopes over the insert
     # successes of rows 1..i, so the expectation is the prefix sum
-    return sum(inc[:i], Fraction(0))
+    return sum(exhaustive_rank_profile(n, s, field)[:i], Fraction(0))
 
 
 def independence_probability(m: Matrix, s, budget: int = DEFAULT_GIRTH_BUDGET) -> Fraction:
     """Exact P{Bernoulli(s)-sampled columns of m are linearly independent}.
 
-    Depth-first over columns; a dependent branch is pruned because every
-    superset of a dependent set is dependent.  ``budget`` caps visited
-    nodes since the independent-subset count can still be exponential.
+    Depth-first over columns, on an explicit stack so that any column
+    count works; a dependent branch is pruned because every superset of
+    a dependent set is dependent.  ``budget`` caps visited nodes since
+    the independent-subset count can still be exponential.
     """
     sf = parse_probability(s, "s")
     if sf == 0:
         return Fraction(1)
     n = m.ncols
     make_basis, cols = independence_tracker(m)
+    skip = 1 - sf
+    total = Fraction(0)
     nodes = 0
-
-    def walk(j: int, basis, weight: Fraction) -> Fraction:
-        nonlocal nodes
+    stack = [(0, make_basis(), Fraction(1))]
+    while stack:
+        j, basis, weight = stack.pop()
         nodes += 1
         if nodes > budget:
             raise EnumerationBudget(f"enumeration exceeded {budget} nodes")
         if j == n:
-            return weight
-        total = walk(j + 1, basis, weight * (1 - sf))
+            total += weight
+            continue
+        stack.append((j + 1, basis, weight * skip))
         grown = basis.copy()  # sibling branches never see this column
         if grown.insert(cols[j]):
-            total += walk(j + 1, grown, weight * sf)
-        return total
-
-    return walk(0, make_basis(), Fraction(1))
+            stack.append((j + 1, grown, weight * sf))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +348,11 @@ def girth_scan(m: Matrix, grid, trials: int, seed: int, threads: int = 1) -> Gir
     is exactly nonincreasing in s, not just in expectation.  So a trial
     is one number, its dependence time tau (the length of its first
     dependent prefix in u-order), and a rate's set is independent exactly
-    when its size is below tau.  Any field works: the tracker's
-    ``insert_prefix`` counts the independent prefix, over GF(2) on the
-    matrix's column ints over its rows sorted by weight
-    (``Matrix._column_ints``).
+    when its size is below tau.  No nrows + 1 columns are independent,
+    so tau is found among the first nrows + 1 columns in u-order
+    whatever the grid.  Any field works: the tracker's ``insert_prefix``
+    counts the independent prefix, over GF(2) on the matrix's column
+    ints over its rows sorted by weight (``Matrix._column_ints``).
     """
     rates = tuple(parse_probability(g, "grid rate") for g in grid)
     if not rates:
@@ -374,9 +370,7 @@ def girth_scan(m: Matrix, grid, trials: int, seed: int, threads: int = 1) -> Gir
         # the set sampled at a rate is a prefix of the columns sorted by u
         order = np.argsort(u, kind="stable")
         sizes = np.where(exact_one, ncols, np.searchsorted(u[order], thresholds)).tolist()
-        # sets of more than nrows columns are dependent: tau <= need + 1 decides them
-        need = max((size for size in sizes if size <= nrows), default=0)
-        tau = make_basis().insert_prefix([cols[j] for j in order[:need].tolist()]) + 1
+        tau = make_basis().insert_prefix([cols[j] for j in order[: nrows + 1].tolist()]) + 1
         return [size < tau for size in sizes]
 
     results = run_trials(trials, one_trial, seed, threads)

@@ -25,11 +25,13 @@ tags (``_echelon``), as ``_gf2core.echelon`` does, and read the
 canonical kernel vectors and the free-variables-zero solution off the
 tags.
 
-Every solve is one subset solve, ``_solve_columns``: it solves on
-chosen columns of a matrix, read from the matrix's cached column form
-(Python ints over GF(2), elimination form otherwise), so no caller
-builds a sub-matrix.  ``solve_full`` is the subset of all columns; the
-erasure decoder and minimum-support recovery pass their own subsets.
+``_solve_columns`` solves on chosen columns of a matrix, read from the
+matrix's cached column form (Python ints over GF(2), elimination form
+otherwise), so no caller builds a sub-matrix.  ``solve_full`` passes
+it every column and minimum-support recovery its own subsets.  The
+erasure decoder's fallback, ``_fill``, calls its cores
+(``_gf2core.solve_packed``, ``_solve_native``) directly, and the tests
+use ``_solve_columns`` as the decoder's reference.
 A GF(2) matrix has one column form, ``Matrix._column_ints``: the
 columns over the rows sorted by weight, the lightest row on the top
 bit, with that row order.  Independence, kernels and solves read it,
@@ -106,7 +108,6 @@ __all__ = [
     "solve",
     "solve_full",
     "matvec",
-    "matmul",
     "exact_girth",
     "first_dependent_subset",
     "vandermonde",
@@ -354,7 +355,7 @@ def _rational_entry(v) -> Fraction:
 class Matrix:
     """Immutable dense matrix over gf2, gfp:<p>, or the rationals.
 
-    Construct with ``from_rows``/``from_columns``/``zeros``/``identity``.
+    Construct with ``from_rows``/``zeros``/``identity`` (or ``read_matrix``).
     Entries are canonicalized on ingest (ints are reduced mod 2 or mod p;
     rationals accept ints, Fractions, and 'a/b' strings).
     """
@@ -408,20 +409,6 @@ class Matrix:
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         return cls._of(field, np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def from_columns(cls, field: FieldSpec, columns, nrows: int | None = None) -> "Matrix":
-        cols = [list(c) for c in columns]
-        if nrows is None:
-            if not cols:
-                raise ValueError("from_columns with no columns needs nrows")
-            nrows = len(cols[0])
-        for c in cols:
-            if len(c) != nrows:
-                raise ValueError("ragged columns")
-        if not cols or not nrows:
-            return cls.zeros(field, nrows, len(cols))
-        return cls.from_rows(field, [[c[i] for c in cols] for i in range(nrows)])
 
     # -- accessors ----------------------------------------------------
 
@@ -1005,18 +992,6 @@ def _matvec(m: Matrix, xv):
             out[lo:hi] = (m._data[lo:hi] * xv[None, :] % p).sum(axis=1) % p
         return out
     return _scaled_sum(*m._column_vectors(), xv, m.nrows)
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b (both over the same field)."""
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    if a.ncols != b.nrows:
-        raise ValueError("inner dimensions do not match")
-    cols = [matvec(a, b.column(j)) for j in range(b.ncols)]
-    if not cols:
-        return Matrix.zeros(a.field, a.nrows, 0)
-    return Matrix.from_columns(a.field, cols, a.nrows)
 
 
 # ---------------------------------------------------------------------------

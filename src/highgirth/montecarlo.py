@@ -170,9 +170,10 @@ class SubStream:
         return (u & np.uint64(1)).astype(np.uint8)
 
     def symbols_mod(self, n: int, q: int) -> np.ndarray:
-        """n uniform draws from {0, ..., q-1}, exactly uniform (rejection)."""
-        if q < 1:
-            raise ValueError("need q >= 1")
+        """n uniform draws from {0, ..., q-1}, exactly uniform (rejection);
+        q is at most 2**63, so every draw fits the int64 output."""
+        if not 1 <= q <= 1 << 63:
+            raise ValueError("need 1 <= q <= 2**63")
         if q == 1:
             return np.zeros(n, np.int64)
         rem = _WORD % q

@@ -46,8 +46,6 @@ __all__ = [
     "rank_profile",
     "rank_profile_float",
     "profile_leaf",
-    "RankProfile",
-    "compute_profile",
     "default_threshold_exponent",
     "default_threshold",
     "SelectionSpec",
@@ -181,32 +179,6 @@ def profile_leaf(n: int, i: int, s) -> Fraction:
 def _above(a: int, den: int, t: Fraction) -> bool:
     """a/den > t, without building the Fraction (den > 0)."""
     return a * t.denominator > t.numerator * den
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    """A computed profile: exact Fraction leaves or float64 leaves."""
-
-    n: int
-    s: Fraction
-    values: tuple
-    exact: bool
-
-    def leaf(self, i: int):
-        """1-based leaf access."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"leaf index {i} out of range")
-        return self.values[i - 1]
-
-    def total(self):
-        return sum(self.values)
-
-
-def compute_profile(n: int, s, exact: bool = True) -> RankProfile:
-    sf = parse_probability(s, "s")
-    if exact:
-        return RankProfile(n, sf, rank_profile(n, sf), True)
-    return RankProfile(n, sf, tuple(float(v) for v in rank_profile_float(n, sf)), False)
 
 
 # ---------------------------------------------------------------------------

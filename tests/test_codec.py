@@ -877,3 +877,10 @@ def test_channel_bounds_structure():
     nb = channel_bounds(code, "mec", F(1, 4))
     assert nb["bhatt"] is None  # leaf-sum bound needs the selected rows
     assert nb["union"] is not None
+
+
+def test_channel_bounds_rejects_unknown_channels():
+    code = code_from_pcm(check_matrix(16, F(1, 2), SelectionSpec.top(12)).matrix)
+    for name in ("BSC", "erasure", ""):
+        with pytest.raises(ValueError):
+            channel_bounds(code, name, F(1, 20))

@@ -10,6 +10,7 @@ import pytest
 from highgirth import (
     CheckMatrix,
     ColumnSet,
+    EnumerationBudget,
     FieldSpec,
     Matrix,
     SelectionSpec,
@@ -318,6 +319,21 @@ def test_independence_probability_small():
     # fails only when all three columns survive
     assert independence_probability(m2, F(1, 2)) == 1 - F(1, 8)
     assert support_failure_expectation(m2, BernoulliSupport(F(1, 2))) == F(1, 8)
+
+
+def test_independence_probability_walks_wide_matrices():
+    # the walk goes one column deeper per level, so 1500 and 1024 columns
+    # are past Python's recursion limit; a zero column is dependent on
+    # its own, so only the empty set survives, at n + 1 visited nodes
+    zero = Matrix.zeros(GF2, 1, 1500)
+    assert independence_probability(zero, F(1, 3), budget=1501) == F(2, 3) ** 1500
+    with pytest.raises(EnumerationBudget):
+        independence_probability(zero, F(1, 3), budget=1500)
+    wide = check_matrix(1024, F(2, 5), SelectionSpec.top(614)).matrix
+    with pytest.raises(EnumerationBudget):
+        independence_probability(wide, F(1, 100), budget=10**4)
+    with pytest.raises(EnumerationBudget):
+        support_failure_expectation(wide, BernoulliSupport(F(1, 100)), budget=10**4)
 
 
 def test_independence_probability_matches_sampling():

@@ -19,7 +19,6 @@ from highgirth import (
     exact_girth,
     first_dependent_subset,
     kernel,
-    matmul,
     matvec,
     parse_probability,
     rank,
@@ -265,19 +264,18 @@ def test_vandermonde_girth():
         vandermonde(GF3, 2, [1, 1, 2])  # repeated node
 
 
-# ---------------------------------------------------------------- matmul
+# ---------------------------------------------------------------- entry
 
-def test_matmul_identity_and_associativity():
+def test_entry_equals_to_rows_over_every_field():
+    # 70 columns put GF(2) entries in both packed words of a row
     rng = random.Random(606)
     for field in ALL_FIELDS:
-        a = Matrix.from_rows(field, random_rows(rng, 3, 4, field))
-        b = Matrix.from_rows(field, random_rows(rng, 4, 2, field))
-        ab = matmul(a, b)
-        assert (ab.nrows, ab.ncols) == (3, 2)
-        left = matmul(Matrix.identity(field, 3), a)
-        assert left.to_rows() == a.to_rows()
-        x = vector(field, random_rows(rng, 1, 2, field)[0])
-        assert vectors_equal(matvec(ab, x), matvec(a, matvec(b, x)))
+        m = Matrix.from_rows(field, random_rows(rng, 3, 70, field))
+        rows = m.to_rows()
+        assert all(m.entry(i, j) == rows[i][j] for i in range(3) for j in range(70))
+        for i, j in ((3, 0), (0, 70), (-1, 0), (0, -1)):
+            with pytest.raises(IndexError):
+                m.entry(i, j)
 
 
 # ---------------------------------------------------------------- bases

@@ -182,6 +182,16 @@ def test_bits_and_symbols():
     assert (SubStream(9, 1).symbols_mod(500, 2) == SubStream(9, 1).bits(500)).all()
 
 
+def test_symbols_mod_refuses_moduli_past_int64():
+    # 2**63 is the largest modulus whose draws all fit the int64 output
+    assert SubStream(5, 0).symbols_mod(1000, 1 << 63).min() >= 0
+    for q in ((1 << 63) + 1, 3 << 62, 1 << 64, 1 << 65):
+        with pytest.raises(ValueError):
+            SubStream(5, 0).symbols_mod(10, q)
+        with pytest.raises(ValueError):
+            SubStream(5, 0).integer_below(q)
+
+
 @pytest.mark.parametrize("seed", [0, 29, (1 << 64) - 1])
 def test_trial_stream_moves_through_the_substreams(seed):
     # one generator moved from trial to trial draws exactly the words of

@@ -14,7 +14,6 @@ from highgirth import (
     SelectionSpec,
     bhattacharyya_sum,
     bhattacharyya_upper,
-    compute_profile,
     default_threshold,
     default_threshold_exponent,
     ell,
@@ -152,14 +151,13 @@ def test_guard_band_covers_rounding():
         assert err <= float_error_bound(n) == 2.0**-36
 
 
-def test_compute_profile_modes():
-    p = compute_profile(8, F(1, 2))
-    assert p.exact and len(p.values) == 8
-    q = compute_profile(8, F(1, 2), exact=False)
-    assert not q.exact
-    assert all(isinstance(v, float) for v in q.values)
+def test_float_profile_within_band_of_exact():
+    p = rank_profile(8, F(1, 2))
+    assert len(p) == 8 and all(isinstance(v, Fraction) for v in p)
+    q = rank_profile_float(8, F(1, 2))
+    assert q.dtype == np.float64 and q.shape == (8,)
     band = float_error_bound(8)
-    assert all(abs(a - float(b)) <= band for a, b in zip(q.values, p.values))
+    assert all(abs(a - float(b)) <= band for a, b in zip(q, p))
 
 
 def test_tail_enclosure_contains_exact_tail():
@@ -473,19 +471,19 @@ def test_bhattacharyya_sum_equals_per_leaf_fraction_sum():
 # ---------------------------------------------------------------- csv io
 
 def test_profile_csv_roundtrip():
-    prof = compute_profile(8, F(1, 3))
+    prof = rank_profile(8, F(1, 3))
     buf = io.StringIO()
-    write_profile_csv(prof.values, True, buf)
+    write_profile_csv(prof, True, buf)
     text = buf.getvalue()
     assert text.splitlines()[0] == "# mode: exact"
     assert text.splitlines()[1] == "index,rho"
     exact, values = read_profile_csv(io.StringIO(text))
-    assert exact and tuple(values) == prof.values
+    assert exact and tuple(values) == prof
 
-    proff = compute_profile(8, F(1, 3), exact=False)
+    proff = rank_profile_float(8, F(1, 3))
     buf2 = io.StringIO()
-    write_profile_csv(proff.values, False, buf2)
+    write_profile_csv(proff, False, buf2)
     assert buf2.getvalue().splitlines()[0] == "# mode: float"
     exact2, values2 = read_profile_csv(io.StringIO(buf2.getvalue()))
     assert not exact2
-    assert np.allclose(values2, proff.values)
+    assert np.allclose(values2, proff)
